@@ -450,18 +450,19 @@ pub fn determinism_pass(ctx: &FileCtx) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2b: corpus-version stream discipline
+// Pass 2b: corpus stream discipline
 // ---------------------------------------------------------------------------
 
 /// Flag every direct `next_gaussian` call in a synthesis-owning file.
-/// The v2 corpus draws its hidden-state streams through
+/// The corpus draws its hidden-state streams through
 /// `fill_gaussian`/`next_gaussian_pair` (both Box–Muller variates
-/// kept); a lone `.next_gaussian()` on such a path is either a frozen
-/// v1 site or a corpus-shared stream — both legitimate, both required
-/// to say so with `// rts-allow(corpus-v1): <reason>`. An unwaived
-/// call is a new sequential-sampler dependency silently minting a
-/// third corpus. `next_gaussian_pair` lexes as a single identifier,
-/// so it never trips this pass. Waiver key: `corpus-v1`.
+/// kept); a lone `.next_gaussian()` on such a path is legitimate only
+/// for a stream outside the corpus (decisions, s-signal, softmax,
+/// layer directions), and must say so with
+/// `// rts-allow(corpus-shared): <reason>`. An unwaived call is a new
+/// hidden-state stream drawing through the sequential sampler.
+/// `next_gaussian_pair` lexes as a single identifier, so it never
+/// trips this pass. Waiver key: `corpus-shared`.
 pub fn corpus_pass(ctx: &FileCtx) -> Vec<Finding> {
     let toks = ctx.toks;
     let mut out = Vec::new();
@@ -472,12 +473,12 @@ pub fn corpus_pass(ctx: &FileCtx) -> Vec<Finding> {
                 ctx.finding(
                     "corpus",
                     "sequential-sampler",
-                    "corpus-v1",
+                    "corpus-shared",
                     t.line,
                     t.col,
-                    "direct next_gaussian() call on a synthesis path: v2 streams draw via \
-                 fill_gaussian/next_gaussian_pair; waive frozen v1 or corpus-shared \
-                 streams with rts-allow(corpus-v1)"
+                    "direct next_gaussian() call on a synthesis path: hidden-state streams \
+                 draw via fill_gaussian/next_gaussian_pair; waive streams outside the \
+                 corpus with rts-allow(corpus-shared)"
                         .into(),
                 ),
             );

@@ -145,7 +145,7 @@ fn corpus_bad_flags_only_sequential_sampling() {
         include_str!("fixtures/corpus_bad.rs"),
         CORPUS,
     );
-    // fill_gaussian and next_gaussian_pair are corpus-v2-clean; only
+    // fill_gaussian and next_gaussian_pair are clean; only
     // the two lone next_gaussian() calls trip the pass.
     assert_eq!(
         spans(&r),

@@ -1,6 +1,6 @@
-//! Fixture: corpus-version violations, none waived — direct
-//! sequential sampling on a synthesis path. The paired samplers are
-//! corpus-v2-clean and must not trip the pass.
+//! Fixture: corpus violations, none waived — direct sequential
+//! sampling on a synthesis path. The paired samplers are clean and
+//! must not trip the pass.
 
 pub fn synthesize(rng: &mut Rng, row: &mut [f64]) -> f64 {
     rng.fill_gaussian(row);

@@ -1,16 +1,16 @@
-//! Fixture: sequential sampling under corpus-v1 waivers — plus one
+//! Fixture: sequential sampling under corpus-shared waivers — plus one
 //! waiver whose key does not match, which therefore stays red.
 
-pub fn frozen_v1(rng: &mut Rng) -> f64 {
-    // rts-allow(corpus-v1): frozen v1 per-layer stream, reproduced
-    // byte-identically for the archived records
-    let base = rng.next_gaussian();
-    let shared = rng.next_gaussian(); // rts-allow(corpus-v1): corpus-shared decision stream
-    base + shared
+pub fn corpus_shared(rng: &mut Rng) -> f64 {
+    // rts-allow(corpus-shared): s-signal stream, model structure
+    // outside the hidden-state corpus
+    let signal = rng.next_gaussian();
+    let prob = rng.next_gaussian(); // rts-allow(corpus-shared): softmax stream
+    signal + prob
 }
 
 pub fn wrong_key(rng: &mut Rng) -> f64 {
     // rts-allow(iter-order): wrong key — a sequential-sampler finding
-    // needs the corpus-v1 key, so this annotation does not cover it
+    // needs the corpus-shared key, so this annotation does not cover it
     rng.next_gaussian()
 }

@@ -245,17 +245,16 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Same refusal for the synthesis corpus: v2 re-keys the hidden-state
-    // streams precisely to change trace_gen's cost profile, so stage
-    // times measured under different corpora are incomparable by
+    // Same refusal for the synthesis corpus: a new corpus re-keys the
+    // hidden-state streams and with them trace_gen's cost profile, so
+    // stage times measured under different corpora are incomparable by
     // construction. A record without the field predates corpus
     // versioning and reads as v1 (corpus_tag's fallback).
     if baseline.corpus_tag() != fresh.corpus_tag() {
         eprintln!(
             "perf gate MISCONFIGURED: baseline (corpus {}) and fresh (corpus {}) \
              records were measured under different synthesis corpora and are not \
-             comparable — pin RTS_CORPUS to the committed baseline's corpus or \
-             regenerate the baseline under the new one",
+             comparable — regenerate the baseline under the current corpus",
             baseline.corpus_tag(),
             fresh.corpus_tag()
         );

@@ -481,12 +481,12 @@ pub struct PerfReport {
     /// this (e.g. `"threads": 8` recorded on a 1-core CI container), so
     /// the record keeps both to make timings comparable across hosts.
     pub effective_parallelism: usize,
-    /// Synthesis corpus tag (`"v1"`/`"v2"`, see `simlm::CorpusVersion`)
-    /// the record was measured under. `None` on snapshots predating
-    /// corpus versioning, which were all v1 — read it through
+    /// Synthesis corpus tag (see `simlm::CorpusVersion`) the record
+    /// was measured under. `None` on snapshots predating corpus
+    /// versioning, which were all v1 — read it through
     /// [`PerfReport::corpus_tag`]. Stage times are incomparable across
-    /// corpora (v2 exists precisely to make `trace_gen` faster), so
-    /// the perf gate refuses cross-corpus comparisons.
+    /// corpora (a new corpus re-keys the streams `trace_gen` draws),
+    /// so the perf gate refuses cross-corpus comparisons.
     pub corpus: Option<String>,
     pub stages: Vec<StageTiming>,
     pub notes: Vec<String>,

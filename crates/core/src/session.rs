@@ -165,13 +165,6 @@ pub struct SessionCheckpoint {
     pub instance: u64,
     /// `true` = table linking, `false` = column linking.
     pub is_table: bool,
-    /// Synthesis corpus the suspended round was generated under.
-    /// Restore re-synthesizes the round from the override recipe, so a
-    /// checkpoint replayed against a model on the *other* corpus would
-    /// silently rebuild different hidden states mid-session; recording
-    /// the version makes the mismatch detectable (restore asserts it,
-    /// the serving engine degrades on it).
-    pub corpus: simlm::CorpusVersion,
     /// Raw merge-RNG state (`SplitMix64` is one `u64` of state).
     pub rng_state: u64,
     /// TAR/FAR counterfactual verdict, if already computed.
@@ -332,12 +325,6 @@ impl<'a> LinkSession<'a> {
         config: &RtsConfig,
     ) -> Self {
         let ctx = if config.reference_linking { None } else { ctx };
-        debug_assert_eq!(
-            config.corpus,
-            model.corpus(),
-            "RtsConfig::corpus disagrees with the model's synthesis corpus — \
-             the run would record one version and generate the other"
-        );
         let gold = SchemaLinker::gold_elements(&inst, target);
         let gold_set = {
             let mut g = gold.clone();
@@ -438,7 +425,6 @@ impl<'a> LinkSession<'a> {
         SessionCheckpoint {
             instance: self.inst.id,
             is_table: self.target == LinkTarget::Tables,
-            corpus: self.model.corpus(),
             rng_state: self.rng.state(),
             would_be_correct: self.would_be_correct,
             overrides,
@@ -510,11 +496,6 @@ impl<'a> LinkSession<'a> {
             cp.is_table,
             target == LinkTarget::Tables,
             "checkpoint belongs to the other link target"
-        );
-        assert_eq!(
-            cp.corpus,
-            model.corpus(),
-            "checkpoint was taken under the other synthesis corpus"
         );
         let mut session = Self::new_in(model, mbpp, inst, meta, target, ctx, None, config);
         session.rng = tinynn::rng::SplitMix64::new(cp.rng_state);

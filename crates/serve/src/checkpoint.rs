@@ -64,7 +64,6 @@ mod tests {
         SessionCheckpoint {
             instance: 41,
             is_table: false,
-            corpus: simlm::CorpusVersion::default(),
             rng_state: 0xDEAD_BEEF_0BAD_F00D,
             would_be_correct: Some(false),
             overrides: vec![
@@ -103,20 +102,6 @@ mod tests {
         // The point of checkpointing: bytes are of query-text order,
         // not hidden-stack order (tens of KB).
         assert!(encode(&cp).len() < 2048, "checkpoint unexpectedly large");
-    }
-
-    #[test]
-    fn corpus_version_roundtrips_in_checkpoints() {
-        // Both versions survive the codec, and the default stamps v2 —
-        // the serving half of the corpus-version serde contract.
-        let cp = sample();
-        assert_eq!(decode(&encode(&cp)).corpus, simlm::CorpusVersion::V2);
-        let mut v1 = sample();
-        v1.corpus = simlm::CorpusVersion::V1;
-        assert_eq!(decode(&encode(&v1)).corpus, simlm::CorpusVersion::V1);
-        // The tag lands in the JSON as a plain string, so a corpus
-        // mismatch is visible in the raw bytes too.
-        assert!(String::from_utf8(encode(&v1)).unwrap().contains("\"V1\""));
     }
 
     #[test]

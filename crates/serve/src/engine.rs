@@ -808,15 +808,12 @@ impl ServeEngine {
                             None
                         } else {
                             // A decoded checkpoint must belong to this
-                            // (instance, stage) AND to the model's
-                            // synthesis corpus — restore re-synthesizes
-                            // the round, so a cross-corpus checkpoint
-                            // would rebuild different hidden states.
-                            // Mismatches fall through to the salvage
-                            // recipe (degrade, never panic).
-                            checkpoint::try_decode(&bytes).ok().filter(|cp| {
-                                cp.matches(&inst, stage) && cp.corpus == self.model.corpus()
-                            })
+                            // (instance, stage); mismatches fall through
+                            // to the salvage recipe (degrade, never
+                            // panic).
+                            checkpoint::try_decode(&bytes)
+                                .ok()
+                                .filter(|cp| cp.matches(&inst, stage))
                         };
                         // The bytes leave the gauge either way — they
                         // are consumed here, restorable or not.

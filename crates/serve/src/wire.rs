@@ -310,6 +310,22 @@ mod tests {
     }
 
     #[test]
+    fn corpus_fingerprint_is_pinned() {
+        // Peers built from different revisions must still agree on
+        // this exact string to handshake; changing it refuses every
+        // existing client.
+        assert_eq!(
+            corpus_fingerprint(
+                "bird",
+                0.02,
+                42,
+                simlm::SchemaLinker::new("bird", 1).corpus()
+            ),
+            "bird|scale=0.02|seed=42|corpus=V2|wire=v1"
+        );
+    }
+
+    #[test]
     fn frames_round_trip_every_client_message() {
         let query = FlagQuery {
             instance: 7,
