@@ -22,7 +22,7 @@
 //!   per-shard admission-queue and context-cache bounds;
 //! * `RTS_OL_COLLECTORS` (default 4) — completion-collector threads;
 //! * `RTS_THREADS` — total engine workers, split across shards;
-//! * `RTS_OL_PARITY=1` — rerun the first sweep point unsharded and
+//! * `RTS_OL_PARITY=1` — rerun the first sweep point on a 1-shard pool and
 //!   assert per-arrival outcome keys are byte-identical;
 //! * `RTS_OL_RECORD=1` — merge the record into `./BENCH_rts.json`.
 //!
@@ -132,8 +132,8 @@ fn main() {
         assert_eq!(keys.len(), config.requests_per_point);
     }
 
-    // Parity: the sharded run must be byte-identical per request to an
-    // unsharded run of the same schedule — worker placement and cache
+    // Parity: the sharded run must be byte-identical per request to a
+    // run of the same schedule on a 1-shard pool — worker placement and cache
     // partitioning may move latency, never answers.
     if std::env::var("RTS_OL_PARITY").is_ok_and(|v| v == "1") {
         let single = OpenLoopConfig {

@@ -237,6 +237,16 @@ struct CollectQueue<T> {
     closed: bool,
 }
 
+/// What one sweep point measured, plus the engine facts the record
+/// reports.
+struct PointRun {
+    point: OpenLoopPoint,
+    keys: Vec<String>,
+    stats: rts_serve::ServingStats,
+    steals: u64,
+    workers_per_shard: usize,
+}
+
 /// Run one sweep point: pace `arrivals` against a fresh
 /// [`ShardedEngine`], drain every completion, and measure.
 #[allow(clippy::too_many_arguments)]
@@ -249,7 +259,7 @@ fn run_point(
     config: &OpenLoopConfig,
     arrivals: &[Arrival],
     offered_rps: f64,
-) -> (OpenLoopPoint, Vec<String>, rts_serve::ServingStats, u64) {
+) -> PointRun {
     let engine = ShardedEngine::new(
         model,
         mbpp_tables,
@@ -386,8 +396,13 @@ fn run_point(
         rejected_submits: stats.rejected + stats.rejected_quota,
         wall_ms: wall_s * 1e3,
     };
-    let steals = engine.steals();
-    (point, keys, stats, steals)
+    PointRun {
+        point,
+        keys,
+        stats,
+        steals: engine.steals(),
+        workers_per_shard: engine.workers_per_shard(),
+    }
 }
 
 /// One collector: pop completion jobs, drive each ticket to `Done`
@@ -467,6 +482,7 @@ pub fn run_sweep(
     let mut points = Vec::with_capacity(config.rates_rps.len());
     let mut outcomes = Vec::with_capacity(config.rates_rps.len());
     let mut steals = 0u64;
+    let mut workers_per_shard = 0;
     let mut cache = rts_core::context::ContextCacheStats::default();
     for (k, &rate) in config.rates_rps.iter().enumerate() {
         // Each point gets its own schedule stream, derived from the
@@ -482,7 +498,7 @@ pub fn run_sweep(
             config.zipf_s,
             &groups,
         );
-        let (point, keys, stats, point_steals) = run_point(
+        let run = run_point(
             model,
             mbpp_tables,
             mbpp_columns,
@@ -492,10 +508,11 @@ pub fn run_sweep(
             &schedule,
             rate,
         );
-        steals += point_steals;
-        cache.absorb(stats.cache);
-        points.push(point);
-        outcomes.push(keys);
+        steals += run.steals;
+        workers_per_shard = run.workers_per_shard;
+        cache.absorb(run.stats.cache);
+        points.push(run.point);
+        outcomes.push(run.keys);
     }
     let peak_throughput_rps = points.iter().map(|p| p.achieved_rps).fold(0.0, f64::max);
     let (knee_offered_rps, knee_p99_ms) = points
@@ -504,7 +521,6 @@ pub fn run_sweep(
         .or(points.first())
         .map(|p| (p.offered_rps, p.p99_ms))
         .expect("at least one sweep point");
-    let workers_per_shard = config.serve.workers.div_ceil(config.shards.max(1)).max(1);
     SweepResult {
         record: OpenLoopRecord {
             shards: config.shards.max(1),

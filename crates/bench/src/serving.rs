@@ -1,6 +1,6 @@
 //! Closed-loop workload driver for the `rts-serve` engine.
 //!
-//! Simulates production traffic against a [`ServeEngine`]: a pool of
+//! Simulates production traffic against a [`ShardedEngine`]: a pool of
 //! client threads, each owning a slice of the instance set and tagged
 //! with a [`TenantId`], submits joint-linking requests, answers every
 //! `NeedsFeedback` suspension with the human oracle, and measures
@@ -25,7 +25,7 @@ use rts_core::bpp::Mbpp;
 use rts_core::human::HumanOracle;
 use rts_core::pipeline::JointOutcome;
 use rts_core::session::resolve_flag;
-use rts_serve::{drive_closed_loop, Engine, ServeConfig, ServeEngine, TenantId};
+use rts_serve::{drive_closed_loop, Engine, ServeConfig, ShardedEngine, TenantId};
 use simlm::SchemaLinker;
 use std::time::{Duration, Instant};
 
@@ -92,9 +92,9 @@ pub struct WorkloadResult {
     pub n_requests: usize,
 }
 
-/// Drive a closed-loop workload: build the engine, spawn its workers
-/// plus `config.clients` client threads, run `rounds` passes over
-/// `instances`, drain, and snapshot the stats.
+/// Drive a closed-loop workload: build a 1-shard engine, spawn its
+/// workers plus `config.clients` client threads, run `rounds` passes
+/// over `instances`, drain, and snapshot the stats.
 pub fn run_workload(
     model: &SchemaLinker,
     mbpp_tables: &Mbpp,
@@ -111,17 +111,19 @@ pub fn run_workload(
         config.stall_tenant.is_none() || config.serve.feedback_timeout.is_some(),
         "a stalled tenant without a feedback timeout would wait forever"
     );
-    let engine = ServeEngine::new(
+    let engine = ShardedEngine::new(
         model,
         mbpp_tables,
         mbpp_columns,
         metas,
+        1,
         config.serve.clone(),
     );
     let t0 = Instant::now();
     let outcomes: Vec<ServedRequest> = crossbeam::thread::scope(|s| {
-        for _ in 0..engine.config().workers {
-            s.spawn(|_| engine.worker_loop());
+        let eng = &engine;
+        for i in 0..eng.workers_total() {
+            s.spawn(move |_| eng.worker_loop(i));
         }
         let collected = run_clients(&engine, instances, config);
         engine.shutdown();
@@ -138,7 +140,7 @@ pub fn run_workload(
 }
 
 /// Spawn `config.clients` closed-loop client threads against any
-/// [`Engine`] — the in-process engines or the `rts-client` wire client
+/// [`Engine`] — the in-process engine or the `rts-client` wire client
 /// — and collect every served request. The caller owns the engine's
 /// lifecycle (workers, shutdown); this is only the client side, which
 /// is exactly what the wire driver reuses against a remote server.

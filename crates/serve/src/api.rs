@@ -1,31 +1,26 @@
-//! One engine API: the [`Engine`] trait every serving surface —
-//! [`ServeEngine`], [`ShardedEngine`], and the `rts-client` TCP client
-//! — implements, plus the shared closed-loop client the drivers and
-//! parity tests run against it.
+//! One engine API: the [`Engine`] trait every serving surface
+//! implements — the in-process [`ShardedEngine`](crate::ShardedEngine)
+//! and the `rts-client` TCP client — plus the shared closed-loop
+//! client the drivers and parity tests run against it.
 //!
-//! Before this trait, every driver and test carried a
-//! `ServeEngine`-vs-`ShardedEngine` copy of the same submit/wait/
-//! resolve loop (and a third copy would have arrived with the wire
-//! client). The trait abstracts exactly the client-visible surface:
-//! submission, event waiting, feedback resolution, stats, schema
-//! invalidation, and shutdown. Engines stay free to expose richer
-//! inherent APIs (worker loops, shard introspection); generic callers
-//! see only this.
+//! The trait abstracts exactly the client-visible surface: submission,
+//! event waiting, feedback resolution, stats, schema invalidation, and
+//! shutdown. Engines stay free to expose richer inherent APIs (worker
+//! loops, shard introspection); generic callers see only this, so one
+//! client loop serves the local pool and the wire alike.
 
-use crate::engine::{ClientEvent, ServeEngine, ServeOutcome};
+use crate::engine::{ClientEvent, ServeOutcome};
 use crate::error::{ResolveError, SubmitError};
-use crate::shard::{ShardedEngine, ShardedTicket};
 use crate::stats::ServingStats;
-use crate::tenant::{TenantId, TicketId};
+use crate::tenant::TenantId;
 use benchgen::Instance;
 use rts_core::session::{FlagQuery, FlagResolution};
 use std::time::Duration;
 
 /// The client-visible serving surface. `Sync` because every
 /// implementation is driven by concurrent client threads; the ticket
-/// is an opaque, copyable handle (a `u64` for the single engine, a
-/// `(shard, id)` pair for the sharded one, a request id for the wire
-/// client).
+/// is an opaque, copyable handle (a `(shard, id)` pair for the local
+/// pool, a request id for the wire client).
 pub trait Engine: Sync {
     /// Handle to one in-flight request.
     type Ticket: Copy + Eq + std::fmt::Debug + std::fmt::Display + Send + Sync;
@@ -73,92 +68,6 @@ pub trait Engine: Sync {
     /// completes (parked flags degrade to abstention), then workers
     /// exit.
     fn shutdown(&self);
-}
-
-impl Engine for ServeEngine {
-    type Ticket = TicketId;
-
-    fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<TicketId, SubmitError> {
-        ServeEngine::submit(self, tenant, inst)
-    }
-
-    fn wait_event(&self, ticket: TicketId) -> ClientEvent {
-        ServeEngine::wait_event(self, ticket)
-    }
-
-    fn wait_event_changed(&self, ticket: TicketId, last_seen: Option<&FlagQuery>) -> ClientEvent {
-        ServeEngine::wait_event_changed(self, ticket, last_seen)
-    }
-
-    fn resolve(
-        &self,
-        ticket: TicketId,
-        query: &FlagQuery,
-        resolution: FlagResolution,
-    ) -> Result<(), ResolveError> {
-        ServeEngine::resolve(self, ticket, query, resolution)
-    }
-
-    fn stats(&self) -> ServingStats {
-        ServeEngine::stats(self)
-    }
-
-    fn invalidate_db(&self, db: &str) -> usize {
-        ServeEngine::invalidate_db(self, db)
-    }
-
-    fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
-        ServeEngine::set_tenant_weight(self, tenant, weight)
-    }
-
-    fn shutdown(&self) {
-        ServeEngine::shutdown(self)
-    }
-}
-
-impl Engine for ShardedEngine {
-    type Ticket = ShardedTicket;
-
-    fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<ShardedTicket, SubmitError> {
-        ShardedEngine::submit(self, tenant, inst)
-    }
-
-    fn wait_event(&self, ticket: ShardedTicket) -> ClientEvent {
-        ShardedEngine::wait_event(self, ticket)
-    }
-
-    fn wait_event_changed(
-        &self,
-        ticket: ShardedTicket,
-        last_seen: Option<&FlagQuery>,
-    ) -> ClientEvent {
-        ShardedEngine::wait_event_changed(self, ticket, last_seen)
-    }
-
-    fn resolve(
-        &self,
-        ticket: ShardedTicket,
-        query: &FlagQuery,
-        resolution: FlagResolution,
-    ) -> Result<(), ResolveError> {
-        ShardedEngine::resolve(self, ticket, query, resolution)
-    }
-
-    fn stats(&self) -> ServingStats {
-        ShardedEngine::stats(self)
-    }
-
-    fn invalidate_db(&self, db: &str) -> usize {
-        ShardedEngine::invalidate_db(self, db)
-    }
-
-    fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
-        ShardedEngine::set_tenant_weight(self, tenant, weight)
-    }
-
-    fn shutdown(&self) {
-        ShardedEngine::shutdown(self)
-    }
 }
 
 /// How long a closed-loop client backs off after a `QueueFull`/

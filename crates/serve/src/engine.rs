@@ -1,5 +1,8 @@
-//! The worker-pool engine driving concurrent resumable linking
-//! sessions. See the crate docs for the design overview.
+//! One shard of the serving engine: the queues, tickets, context cache
+//! and counters that drive concurrent resumable linking sessions for
+//! the databases routed to it. [`crate::ShardedEngine`] owns one or
+//! more of these and runs every worker; see the crate docs for the
+//! design overview.
 
 use crate::checkpoint;
 use crate::error::{ResolveError, SubmitError};
@@ -26,9 +29,11 @@ use std::time::{Duration, Instant};
 /// Engine knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads the caller should spawn on
-    /// [`ServeEngine::worker_loop`] (the engine itself never spawns —
-    /// scoped threads keep every borrow checked).
+    /// Total worker budget of the pool, split evenly (rounded up)
+    /// across shards. The caller spawns
+    /// [`crate::ShardedEngine::workers_total`] threads on
+    /// [`crate::ShardedEngine::worker_loop`] (the engine itself never
+    /// spawns — scoped threads keep every borrow checked).
     pub workers: usize,
     /// Admission-queue bound across all tenants; submits beyond it are
     /// rejected ([`SubmitError::QueueFull`]). `0` = unbounded. Resumed
@@ -120,11 +125,11 @@ pub struct ServeOutcome {
     pub n_feedback: usize,
 }
 
-/// What [`ServeEngine::wait_event`] delivers to a client.
+/// What [`crate::Engine::wait_event`] delivers to a client.
 #[derive(Debug, Clone)]
 pub enum ClientEvent {
     /// The request is suspended on a branching flag of `target`
-    /// linking; answer through [`ServeEngine::resolve`].
+    /// linking; answer through [`crate::Engine::resolve`].
     NeedsFeedback {
         target: LinkTarget,
         query: FlagQuery,
@@ -203,12 +208,12 @@ struct EngineState {
     next_timeout: Option<Instant>,
 }
 
-/// The serving engine. Owns its model artefacts behind [`Arc`]s (so
-/// shards, servers, and detached worker threads can share one trained
-/// set without any scoped borrow); sessions, queues and caches live
-/// inside. Share it by reference across scoped worker + client
-/// threads, or behind an `Arc` across detached ones.
-pub struct ServeEngine {
+/// One shard of a [`crate::ShardedEngine`]. Holds `Arc` clones of the
+/// pool's model artefacts; sessions, queues and the context cache live
+/// inside. Workers drive it through [`Shard::try_process_one`] and
+/// [`Shard::wait_for_work`]; clients reach it through the pool's
+/// [`crate::Engine`] impl.
+pub(crate) struct Shard {
     model: Arc<SchemaLinker>,
     mbpp_tables: Arc<Mbpp>,
     mbpp_columns: Arc<Mbpp>,
@@ -233,33 +238,12 @@ pub struct ServeEngine {
 /// reporting (a sliding window, oldest overwritten first).
 const LATENCY_WINDOW: usize = 1 << 16;
 
-impl ServeEngine {
-    /// Build an engine over trained artefacts and the databases in
-    /// `metas`, cloning each into shared ownership. No contexts are
+impl Shard {
+    /// Build a shard over already-shared artefacts, so every shard of a
+    /// pool points at the same trained weights. No contexts are
     /// compiled here — they materialize lazily, per database, on first
-    /// request. To share one trained set across several engines (a
-    /// sharded fleet), clone the `Arc`s and use
-    /// [`ServeEngine::with_artifacts`] instead.
-    pub fn new(
-        model: &SchemaLinker,
-        mbpp_tables: &Mbpp,
-        mbpp_columns: &Mbpp,
-        metas: &[DbMeta],
-        config: ServeConfig,
-    ) -> Self {
-        Self::with_artifacts(
-            Arc::new(model.clone()),
-            Arc::new(mbpp_tables.clone()),
-            Arc::new(mbpp_columns.clone()),
-            metas.iter().map(|m| Arc::new(m.clone())).collect(),
-            config,
-        )
-    }
-
-    /// Build an engine over already-shared artefacts — the zero-copy
-    /// constructor a sharded fleet or a standalone server uses so every
-    /// engine points at the same trained weights.
-    pub fn with_artifacts(
+    /// request.
+    pub(crate) fn new(
         model: Arc<SchemaLinker>,
         mbpp_tables: Arc<Mbpp>,
         mbpp_columns: Arc<Mbpp>,
@@ -294,7 +278,7 @@ impl ServeEngine {
 
     /// Override a tenant's fair-share weight (default 1): a tenant with
     /// weight `w` is dispatched `w` admissions per scheduling cycle.
-    pub fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
+    pub(crate) fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
         self.state.lock().queues.set_weight(tenant, weight);
     }
 
@@ -303,7 +287,7 @@ impl ServeEngine {
     /// already in flight finish on their pinned `Arc<LinkContext>` —
     /// invalidation never changes what a running request holds.
     /// Returns the number of cached contexts dropped.
-    pub fn invalidate_db(&self, db: &str) -> usize {
+    pub(crate) fn invalidate_db(&self, db: &str) -> usize {
         self.counters
             .db_invalidations
             .fetch_add(1, Ordering::Relaxed);
@@ -315,7 +299,11 @@ impl ServeEngine {
     /// parked session may need past the caller's scope). Per-tenant
     /// quotas are checked before the global queue bound, so an
     /// over-quota tenant sees its own error, not everyone's.
-    pub fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<TicketId, SubmitError> {
+    pub(crate) fn submit(
+        &self,
+        tenant: TenantId,
+        inst: &Instance,
+    ) -> Result<TicketId, SubmitError> {
         // Fail fast on unknown databases, before any queue state
         // changes — a typed rejection, never a worker panic later.
         if self.meta_of(inst).is_none() {
@@ -379,48 +367,19 @@ impl ServeEngine {
         Ok(id)
     }
 
-    /// Block until the ticket suspends on feedback or completes. On
-    /// [`ClientEvent::Done`] the ticket is retired — a later call for
-    /// the same id returns [`ClientEvent::Retired`], as does an id
-    /// that was never issued. Re-polling a suspended ticket returns
-    /// the same query; the protocol is
-    /// `submit → (wait_event → resolve)* → Done`.
-    pub fn wait_event(&self, id: TicketId) -> ClientEvent {
-        let mut st = self.state.lock();
-        loop {
-            let Some(ticket) = st.tickets.get(&id) else {
-                return ClientEvent::Retired;
-            };
-            match &ticket.phase {
-                Phase::AwaitingFeedback(query) => {
-                    return ClientEvent::NeedsFeedback {
-                        target: ticket.stage,
-                        query: query.clone(),
-                    };
-                }
-                Phase::Done(_) => {
-                    return match st.tickets.remove(&id).map(|t| t.phase) {
-                        Some(Phase::Done(outcome)) => ClientEvent::Done(outcome),
-                        // Unreachable under the lock held since the
-                        // check above — but a client API degrades, it
-                        // never panics.
-                        _ => ClientEvent::Retired,
-                    };
-                }
-                Phase::Queued | Phase::Running => self.client_cv.wait(&mut st),
-            }
-        }
-    }
-
-    /// Edge-triggered [`ServeEngine::wait_event`]: block until the
-    /// ticket's state *differs* from `last_seen` — the query the caller
-    /// already has in hand (or `None` when it has seen nothing yet).
-    /// A level-triggered poll loop over `wait_event` spins while a
-    /// known flag stays unanswered; a connection handler pushing events
-    /// to a remote client needs "wake me on the *next* transition"
-    /// instead. Round numbers make successive queries of one ticket
-    /// distinct, so equality on the query is a correct edge detector.
-    pub fn wait_event_changed(&self, id: TicketId, last_seen: Option<&FlagQuery>) -> ClientEvent {
+    /// Block until the ticket's state *differs* from `last_seen` — the
+    /// query the caller already has in hand, or `None` when it has seen
+    /// nothing yet, which makes this the level-triggered
+    /// [`crate::Engine::wait_event`]. On [`ClientEvent::Done`] the
+    /// ticket is retired — a later call for the same id returns
+    /// [`ClientEvent::Retired`], as does an id that was never issued.
+    /// Round numbers make successive queries of one ticket distinct, so
+    /// equality on the query is a correct edge detector.
+    pub(crate) fn wait_event_changed(
+        &self,
+        id: TicketId,
+        last_seen: Option<&FlagQuery>,
+    ) -> ClientEvent {
         let mut st = self.state.lock();
         loop {
             let Some(ticket) = st.tickets.get(&id) else {
@@ -460,7 +419,7 @@ impl ServeEngine {
     /// saw. `Err(ResolveError::Retired)` means the ticket is gone.
     /// Either way the answer is dropped, never misapplied — and a
     /// protocol race is a typed error, never a panic.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &self,
         id: TicketId,
         query: &FlagQuery,
@@ -545,7 +504,7 @@ impl ServeEngine {
     /// and run it to completion — every submitted ticket ends
     /// [`ClientEvent::Done`], memory gauges drain to zero, and a
     /// client still polling collects its outcome.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         // Flip the flag *under the state lock*: a worker that just saw
         // `shutdown == false` while holding the lock is guaranteed to
         // reach `work_cv.wait` (atomically releasing it) before this
@@ -643,51 +602,11 @@ impl ServeEngine {
         st.next_timeout
     }
 
-    /// The worker body: spawn `config.workers` scoped threads on this.
-    /// Returns when [`ServeEngine::shutdown`] is called and no queued
-    /// work remains.
-    pub fn worker_loop(&self) {
-        let mut scratch = LinkScratch::default();
-        loop {
-            let id = {
-                let mut st = self.state.lock();
-                loop {
-                    self.expire_lapsed_parks(&mut st);
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        // Degrade-only shutdown: requeue parked tickets
-                        // with the abstention verdict so they complete
-                        // (and are popped below) before workers exit.
-                        self.drain_parked_for_shutdown(&mut st);
-                    }
-                    if let Some(id) = st.queues.pop() {
-                        break id;
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    match self.next_park_deadline(&st) {
-                        // Sleep only until the next timeout can fire; a
-                        // stalled tenant must not park forever just
-                        // because no new work arrives to wake us.
-                        Some(deadline) => {
-                            let wait = deadline.saturating_duration_since(Instant::now());
-                            let _ = self.work_cv.wait_for(&mut st, wait);
-                        }
-                        None => self.work_cv.wait(&mut st),
-                    }
-                }
-            };
-            self.process(id, &mut scratch);
-        }
-    }
-
     /// Non-blocking single dispatch: run the timeout/shutdown sweeps,
     /// pop one ready ticket if there is one, and process it. Returns
-    /// whether a ticket was processed. This is the building block a
-    /// sharded pool's workers use to serve their home shard and steal
-    /// from neighbours without committing to any engine's blocking
-    /// [`ServeEngine::worker_loop`].
-    pub fn try_process_one(&self, scratch: &mut LinkScratch) -> bool {
+    /// whether a ticket was processed. The pool's workers serve their
+    /// home shard and steal from neighbours through this.
+    pub(crate) fn try_process_one(&self, scratch: &mut LinkScratch) -> bool {
         let id = {
             let mut st = self.state.lock();
             self.expire_lapsed_parks(&mut st);
@@ -706,12 +625,12 @@ impl ServeEngine {
     }
 
     /// Park the calling worker until work may be available on this
-    /// engine, bounded by `timeout` and by the next parked-feedback
+    /// shard, bounded by `timeout` and by the next parked-feedback
     /// deadline. Returns immediately when work is already queued or
     /// shutdown was requested. A work-stealing worker sleeps here on
     /// its *home* shard between scans — the bound keeps it rescanning
     /// neighbours it holds no condvar on.
-    pub fn wait_for_work(&self, timeout: Duration) {
+    pub(crate) fn wait_for_work(&self, timeout: Duration) {
         let mut st = self.state.lock();
         if st.queues.queued_len() > 0 || self.shutdown.load(Ordering::SeqCst) {
             return;
@@ -725,8 +644,8 @@ impl ServeEngine {
         let _ = self.work_cv.wait_for(&mut st, bound);
     }
 
-    /// Whether [`ServeEngine::shutdown`] has been requested.
-    pub fn is_shut_down(&self) -> bool {
+    /// Whether [`Shard::shutdown`] has been requested.
+    pub(crate) fn is_shut_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
@@ -1182,7 +1101,7 @@ impl ServeEngine {
     }
 
     /// Counter snapshot (latency percentiles recomputed on each call).
-    pub fn stats(&self) -> ServingStats {
+    pub(crate) fn stats(&self) -> ServingStats {
         // Copy the samples out under the lock; sort/summarize outside
         // it so workers finalizing requests are never stalled behind a
         // percentile computation.
@@ -1230,78 +1149,27 @@ impl ServeEngine {
             invariant_breaches: self.counters.invariant_breaches.load(Ordering::Relaxed),
         }
     }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedTicket;
+    use crate::testutil::{client_run, fixture, with_workers, Fx};
+    use crate::Engine;
     use rts_core::abstention::MitigationPolicy;
-    use rts_core::bpp::{MbppConfig, ProbeConfig};
-    use rts_core::branching::BranchDataset;
     use rts_core::human::{Expertise, HumanOracle};
     use rts_core::session::resolve_flag;
 
-    struct Fx {
-        bench: benchgen::Benchmark,
-        model: SchemaLinker,
-        mbpp_t: Mbpp,
-        mbpp_c: Mbpp,
-    }
-
-    fn fixture() -> Fx {
-        let bench = benchgen::BenchmarkProfile::bird_like()
-            .scaled(0.04)
-            .generate(77);
-        let model = SchemaLinker::new("bird", 5);
-        let cfg = MbppConfig {
-            probe: ProbeConfig {
-                epochs: 6,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let ds_t = BranchDataset::build(&model, &bench.split.train, LinkTarget::Tables, 300);
-        let ds_c = BranchDataset::build(&model, &bench.split.train, LinkTarget::Columns, 300);
-        let mbpp_t = Mbpp::train(&ds_t, &cfg);
-        let mbpp_c = Mbpp::train(&ds_c, &cfg);
-        Fx {
-            bench,
-            model,
-            mbpp_t,
-            mbpp_c,
-        }
-    }
-
-    /// Closed-loop client: the shared [`crate::drive_closed_loop`]
-    /// driver with the oracle as the (never-stalling) feedback
-    /// provider. A `Stale` resolve is a legal race (timeout or
-    /// injected loss beat the answer) and is absorbed by the driver.
-    fn client_run(
-        engine: &ServeEngine,
-        tenant: TenantId,
-        instances: &[benchgen::Instance],
-        oracle: &HumanOracle,
-    ) -> Vec<(u64, ServeOutcome)> {
-        let policy = MitigationPolicy::Human(oracle);
-        crate::drive_closed_loop(engine, tenant, instances, |inst, query| {
-            Some(resolve_flag(&policy, inst, query))
-        })
-    }
-
     fn assert_batch_parity(
         fx: &Fx,
-        engine: &ServeEngine,
         oracle: &HumanOracle,
         instances: &[benchgen::Instance],
         all: &[(u64, ServeOutcome)],
     ) {
         let contexts = rts_core::context::LinkContexts::build(&fx.bench);
         let policy = MitigationPolicy::Human(oracle);
+        let rts = RtsConfig::default();
         let mut scratch = LinkScratch::default();
         for (id, served) in all {
             let Some(inst) = instances.iter().find(|i| i.id == *id) else {
@@ -1315,7 +1183,7 @@ mod tests {
                 &fx.bench,
                 &contexts,
                 &policy,
-                &engine.config().rts,
+                &rts,
                 &mut scratch,
             );
             assert_eq!(
@@ -1330,43 +1198,47 @@ mod tests {
         }
     }
 
+    /// A ticket on the one shard of a 1-shard pool.
+    fn ticket(id: TicketId) -> ShardedTicket {
+        ShardedTicket { shard: 0, id }
+    }
+
     #[test]
     fn engine_serves_concurrent_tenants_with_feedback() {
         let fx = fixture();
         let oracle = HumanOracle::new(Expertise::Expert, 9);
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(40).cloned().collect();
-        let config = ServeConfig {
-            workers: 3,
-            queue_capacity: 4,
-            cache_capacity: 2,
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 3,
+                queue_capacity: 4,
+                cache_capacity: 2,
+                ..Default::default()
+            },
+        );
         let n_clients = 4;
         let chunks: Vec<&[benchgen::Instance]> = instances.chunks(10).collect();
-        let results: Vec<Vec<(u64, ServeOutcome)>> = crossbeam::thread::scope(|s| {
-            for _ in 0..engine.config().workers {
-                s.spawn(|_| engine.worker_loop());
-            }
-            let handles: Vec<_> = (0..n_clients)
-                .map(|c| {
-                    let engine = &engine;
-                    let chunk = chunks[c];
-                    let oracle = &oracle;
-                    // Each client is its own tenant: the fair queue and
-                    // per-tenant accounting are on the hot path.
-                    s.spawn(move |_| client_run(engine, c as TenantId, chunk, oracle))
-                })
-                .collect();
-            let results = handles
-                .into_iter()
-                .map(|h| h.join().expect("client panicked"))
-                .collect();
-            engine.shutdown();
-            results
-        })
-        .expect("serve scope panicked");
+        let results: Vec<Vec<(u64, ServeOutcome)>> = with_workers(&engine, || {
+            crossbeam::thread::scope(|s| {
+                let handles: Vec<_> = (0..n_clients)
+                    .map(|c| {
+                        let engine = &engine;
+                        let chunk = chunks[c];
+                        let oracle = &oracle;
+                        // Each client is its own tenant: the fair queue
+                        // and per-tenant accounting are on the hot path.
+                        s.spawn(move |_| client_run(engine, c as TenantId, chunk, oracle))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client panicked"))
+                    .collect()
+            })
+            .expect("client scope panicked")
+        });
 
         let all: Vec<(u64, ServeOutcome)> = results.into_iter().flatten().collect();
         assert_eq!(all.len(), instances.len());
@@ -1387,7 +1259,7 @@ mod tests {
         assert_eq!(stats.parked_bytes_now, 0, "drained engine parks nothing");
         assert_eq!(stats.parked_sessions_now, 0);
         // Engine outcomes ≡ the batch runtime, instance by instance.
-        assert_batch_parity(&fx, &engine, &oracle, &instances, &all);
+        assert_batch_parity(fx, &oracle, &instances, &all);
     }
 
     #[test]
@@ -1396,23 +1268,17 @@ mod tests {
         let oracle = HumanOracle::new(Expertise::Expert, 9);
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(24).cloned().collect();
-        let config = ServeConfig {
-            workers: 2,
-            // A 1-byte budget forces *every* parked session through the
-            // checkpoint → restore path.
-            parked_bytes_budget: 1,
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
-        let outcomes = crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
-            let out = client_run(&engine, 0, &instances, &oracle);
-            engine.shutdown();
-            out
-        })
-        .expect("serve scope panicked");
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                // A 1-byte budget forces *every* parked session through
+                // the checkpoint → restore path.
+                parked_bytes_budget: 1,
+                ..Default::default()
+            },
+        );
+        let outcomes = with_workers(&engine, || client_run(&engine, 0, &instances, &oracle));
         assert_eq!(outcomes.len(), instances.len());
         let stats = engine.stats();
         assert!(
@@ -1425,7 +1291,7 @@ mod tests {
         assert_eq!(stats.parked_bytes_now, 0, "all live parked state released");
         // Checkpointing must never change answers — only where the
         // parked state lives.
-        assert_batch_parity(&fx, &engine, &oracle, &instances, &outcomes);
+        assert_batch_parity(fx, &oracle, &instances, &outcomes);
     }
 
     #[test]
@@ -1433,17 +1299,16 @@ mod tests {
         let fx = fixture();
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(16).cloned().collect();
-        let config = ServeConfig {
-            workers: 2,
-            feedback_timeout: Some(Duration::from_millis(5)),
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                feedback_timeout: Some(Duration::from_millis(5)),
+                ..Default::default()
+            },
+        );
         // A client that NEVER answers: it just waits for completion.
-        let outcomes: Vec<(u64, ServeOutcome)> = crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
+        let outcomes: Vec<(u64, ServeOutcome)> = with_workers(&engine, || {
             let mut out = Vec::new();
             for inst in &instances {
                 let ticket = engine.submit(0, inst).expect("queue has room");
@@ -1463,10 +1328,8 @@ mod tests {
                     }
                 }
             }
-            engine.shutdown();
             out
-        })
-        .expect("serve scope panicked");
+        });
         assert_eq!(outcomes.len(), instances.len(), "timeouts never drop");
         let stats = engine.stats();
         assert!(
@@ -1494,22 +1357,16 @@ mod tests {
         let fx = fixture();
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(8).cloned().collect();
-        let config = ServeConfig {
-            workers: 2,
-            deadline: Some(Duration::ZERO),
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                deadline: Some(Duration::ZERO),
+                ..Default::default()
+            },
+        );
         let oracle = HumanOracle::new(Expertise::Expert, 9);
-        let outcomes = crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
-            let out = client_run(&engine, 0, &instances, &oracle);
-            engine.shutdown();
-            out
-        })
-        .expect("serve scope panicked");
+        let outcomes = with_workers(&engine, || client_run(&engine, 0, &instances, &oracle));
         assert_eq!(outcomes.len(), instances.len(), "shedding never drops");
         for (_, o) in &outcomes {
             assert!(o.shed);
@@ -1526,12 +1383,14 @@ mod tests {
     #[test]
     fn bounded_admission_rejects_when_full() {
         let fx = fixture();
-        let config = ServeConfig {
-            workers: 1,
-            queue_capacity: 2,
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 2,
+                ..Default::default()
+            },
+        );
         // No workers running: the queue only fills.
         let a = engine.submit(0, &fx.bench.split.dev[0]);
         let b = engine.submit(1, &fx.bench.split.dev[1]);
@@ -1545,16 +1404,18 @@ mod tests {
     #[test]
     fn tenant_quota_rejects_only_the_offender() {
         let fx = fixture();
-        let config = ServeConfig {
-            workers: 1,
-            queue_capacity: 0,
-            quota: TenantQuota {
-                max_in_flight: 2,
-                max_parked: 0,
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 0,
+                quota: TenantQuota {
+                    max_in_flight: 2,
+                    max_parked: 0,
+                },
+                ..Default::default()
             },
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        );
         // No workers: everything stays in flight. Tenant 0 fills its
         // quota; tenant 1 is untouched by tenant 0's backlog.
         assert!(engine.submit(0, &fx.bench.split.dev[0]).is_ok());
@@ -1594,13 +1455,7 @@ mod tests {
         let fx = fixture();
         let mut foreign = fx.bench.split.dev[0].clone();
         foreign.db_name = "no_such_database".to_string();
-        let engine = ServeEngine::new(
-            &fx.model,
-            &fx.mbpp_t,
-            &fx.mbpp_c,
-            &fx.bench.metas,
-            ServeConfig::default(),
-        );
+        let engine = fx.engine(1, ServeConfig::default());
         // Used to be a worker panic at dispatch; now a typed rejection
         // at the edge, before any queue state changes.
         assert_eq!(
@@ -1617,24 +1472,21 @@ mod tests {
     #[test]
     fn dead_and_mismatched_tickets_get_typed_errors_not_panics() {
         let fx = fixture();
-        let engine = ServeEngine::new(
-            &fx.model,
-            &fx.mbpp_t,
-            &fx.mbpp_c,
-            &fx.bench.metas,
-            ServeConfig::default(),
-        );
+        let engine = fx.engine(1, ServeConfig::default());
         // Never-issued ticket: polling and answering are both typed.
-        assert!(matches!(engine.wait_event(999), ClientEvent::Retired));
+        assert!(matches!(
+            engine.wait_event(ticket(999)),
+            ClientEvent::Retired
+        ));
         assert_eq!(
-            engine.resolve(999, &bogus_query(), FlagResolution::Continue),
+            engine.resolve(ticket(999), &bogus_query(), FlagResolution::Continue),
             Err(ResolveError::Retired)
         );
         // A live ticket that is *not* awaiting feedback (no workers are
         // running, so it sits queued): an answer is stale, not a panic.
-        let ticket = engine.submit(0, &fx.bench.split.dev[0]).expect("room");
+        let live = engine.submit(0, &fx.bench.split.dev[0]).expect("room");
         assert_eq!(
-            engine.resolve(ticket, &bogus_query(), FlagResolution::Continue),
+            engine.resolve(live, &bogus_query(), FlagResolution::Continue),
             Err(ResolveError::Stale)
         );
     }
@@ -1646,16 +1498,15 @@ mod tests {
         let policy = MitigationPolicy::Human(&oracle);
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(16).cloned().collect();
-        let config = ServeConfig {
-            workers: 2,
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                ..Default::default()
+            },
+        );
         let mut double_resolves = 0u32;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
+        with_workers(&engine, || {
             for inst in &instances {
                 let ticket = engine.submit(0, inst).expect("queue has room");
                 loop {
@@ -1692,9 +1543,7 @@ mod tests {
                     Err(ResolveError::Retired)
                 );
             }
-            engine.shutdown();
-        })
-        .expect("serve scope panicked");
+        });
         assert!(
             double_resolves > 0,
             "workload must exercise the double-resolve race"
@@ -1706,17 +1555,16 @@ mod tests {
         let fx = fixture();
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(16).cloned().collect();
-        let config = ServeConfig {
-            workers: 2,
-            feedback_timeout: Some(Duration::from_millis(2)),
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                feedback_timeout: Some(Duration::from_millis(2)),
+                ..Default::default()
+            },
+        );
         let mut late_answers = 0u32;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
+        with_workers(&engine, || {
             for inst in &instances {
                 let ticket = engine.submit(0, inst).expect("queue has room");
                 let mut first_flag: Option<FlagQuery> = None;
@@ -1760,9 +1608,7 @@ mod tests {
                     assert!(matches!(engine.wait_event(ticket), ClientEvent::Retired));
                 }
             }
-            engine.shutdown();
-        })
-        .expect("serve scope panicked");
+        });
         assert!(late_answers > 0, "workload must park at least once");
         assert!(engine.stats().timed_out_to_abstention > 0);
     }
@@ -1772,19 +1618,18 @@ mod tests {
         let fx = fixture();
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(16).cloned().collect();
-        let config = ServeConfig {
-            workers: 2,
-            // Route some parks through the checkpoint path too: the
-            // drain must release serialized state just the same.
-            parked_bytes_budget: 1,
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
-        let outcomes: Vec<(u64, ServeOutcome)> = crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
-            let tickets: Vec<(u64, TicketId)> = instances
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                // Route some parks through the checkpoint path too: the
+                // drain must release serialized state just the same.
+                parked_bytes_budget: 1,
+                ..Default::default()
+            },
+        );
+        let outcomes: Vec<(u64, ServeOutcome)> = with_workers(&engine, || {
+            let tickets: Vec<(u64, ShardedTicket)> = instances
                 .iter()
                 .map(|inst| (inst.id, engine.submit(0, inst).expect("queue has room")))
                 .collect();
@@ -1820,8 +1665,7 @@ mod tests {
                     }
                 })
                 .collect()
-        })
-        .expect("serve scope panicked");
+        });
         assert_eq!(outcomes.len(), instances.len(), "drains never drop");
         let stats = engine.stats();
         assert_eq!(stats.completed, instances.len() as u64);
@@ -1856,26 +1700,20 @@ mod tests {
         let oracle = HumanOracle::new(Expertise::Expert, 9);
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(24).cloned().collect();
-        let config = ServeConfig {
-            workers: 2,
-            fault: FaultPlan::seeded(11, 0.0).with_rate(FaultSite::StepPanic, 0.2),
-            // A deep budget: every panic recovers, none degrade — so
-            // the outcomes must be byte-identical to the fault-free
-            // batch run.
-            step_retry_budget: 64,
-            step_retry_backoff: Duration::ZERO,
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
-        let outcomes = crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
-            let out = client_run(&engine, 0, &instances, &oracle);
-            engine.shutdown();
-            out
-        })
-        .expect("serve scope panicked");
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                fault: FaultPlan::seeded(11, 0.0).with_rate(FaultSite::StepPanic, 0.2),
+                // A deep budget: every panic recovers, none degrade — so
+                // the outcomes must be byte-identical to the fault-free
+                // batch run.
+                step_retry_budget: 64,
+                step_retry_backoff: Duration::ZERO,
+                ..Default::default()
+            },
+        );
+        let outcomes = with_workers(&engine, || client_run(&engine, 0, &instances, &oracle));
         assert_eq!(outcomes.len(), instances.len(), "panics never drop");
         let stats = engine.stats();
         assert!(
@@ -1888,7 +1726,7 @@ mod tests {
         // The recovery path re-runs the deterministic generation
         // recipe, so recovered requests answer exactly as if nothing
         // had happened.
-        assert_batch_parity(&fx, &engine, &oracle, &instances, &outcomes);
+        assert_batch_parity(fx, &oracle, &instances, &outcomes);
     }
 
     #[test]
@@ -1897,26 +1735,20 @@ mod tests {
         let oracle = HumanOracle::new(Expertise::Expert, 9);
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(24).cloned().collect();
-        let config = ServeConfig {
-            workers: 2,
-            // Every park checkpoints…
-            parked_bytes_budget: 1,
-            // …and every checkpoint decode is corrupted: the engine
-            // must re-run the regeneration recipe from its in-memory
-            // salvage copy every single time.
-            fault: FaultPlan::seeded(3, 0.0).with_rate(FaultSite::CheckpointDecode, 1.0),
-            ..Default::default()
-        };
-        let engine = ServeEngine::new(&fx.model, &fx.mbpp_t, &fx.mbpp_c, &fx.bench.metas, config);
-        let outcomes = crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
-            let out = client_run(&engine, 0, &instances, &oracle);
-            engine.shutdown();
-            out
-        })
-        .expect("serve scope panicked");
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                // Every park checkpoints…
+                parked_bytes_budget: 1,
+                // …and every checkpoint decode is corrupted: the engine
+                // must re-run the regeneration recipe from its in-memory
+                // salvage copy every single time.
+                fault: FaultPlan::seeded(3, 0.0).with_rate(FaultSite::CheckpointDecode, 1.0),
+                ..Default::default()
+            },
+        );
+        let outcomes = with_workers(&engine, || client_run(&engine, 0, &instances, &oracle));
         assert_eq!(outcomes.len(), instances.len());
         let stats = engine.stats();
         assert!(
@@ -1933,7 +1765,7 @@ mod tests {
             "corrupt bytes still billed off"
         );
         assert_eq!(stats.parked_bytes_now, 0);
-        assert_batch_parity(&fx, &engine, &oracle, &instances, &outcomes);
+        assert_batch_parity(fx, &oracle, &instances, &outcomes);
     }
 
     #[test]
@@ -1942,20 +1774,14 @@ mod tests {
         let oracle = HumanOracle::new(Expertise::Expert, 9);
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(12).cloned().collect();
-        let engine = ServeEngine::new(
-            &fx.model,
-            &fx.mbpp_t,
-            &fx.mbpp_c,
-            &fx.bench.metas,
+        let engine = fx.engine(
+            1,
             ServeConfig {
                 workers: 2,
                 ..Default::default()
             },
         );
-        let outcomes = crossbeam::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| engine.worker_loop());
-            }
+        let outcomes = with_workers(&engine, || {
             let out = client_run(&engine, 0, &instances, &oracle);
             // Drift every database mid-flight-ish: outcomes already
             // collected must be untouched, and the counter must bill.
@@ -1963,15 +1789,13 @@ mod tests {
                 engine.invalidate_db(&meta.name);
             }
             let out2 = client_run(&engine, 0, &instances, &oracle);
-            engine.shutdown();
             (out, out2)
-        })
-        .expect("serve scope panicked");
+        });
         let stats = engine.stats();
         assert_eq!(stats.db_invalidations, fx.bench.metas.len() as u64);
         // Dropped contexts rebuild; answers are a pure function of
         // `(instance, seed)`, so both passes match the batch runtime.
-        assert_batch_parity(&fx, &engine, &oracle, &instances, &outcomes.0);
-        assert_batch_parity(&fx, &engine, &oracle, &instances, &outcomes.1);
+        assert_batch_parity(fx, &oracle, &instances, &outcomes.0);
+        assert_batch_parity(fx, &oracle, &instances, &outcomes.1);
     }
 }

@@ -1,8 +1,9 @@
 //! The serving error hierarchy — one set of typed, serializable
-//! errors shared by the in-process engines and the wire protocol.
+//! errors shared by the in-process engine and the wire protocol.
 //!
-//! Clients see the *same* types whether they call a [`crate::engine::ServeEngine`]
-//! in-process or an `rts-served` process over TCP: the wire layer
+//! Clients see the *same* types whether they call a
+//! [`ShardedEngine`](crate::ShardedEngine) in-process or an
+//! `rts-served` process over TCP: the wire layer
 //! ships [`EngineError`] values as serde-JSON and the client crate
 //! converts them back through the [`From`] impls below, so a
 //! `SubmitError::QueueFull` raised three hops away still pattern-

@@ -5,10 +5,12 @@
 //! Production traffic is nothing like a closed batch job: requests
 //! arrive concurrently, suspend mid-flight awaiting human feedback,
 //! and must come back with *some* answer under a latency budget.
-//! [`ServeEngine`] is that runtime, built directly on the resumable
-//! [`rts_core::session::LinkSession`] state machine:
+//! [`ShardedEngine`] is that runtime, built directly on the resumable
+//! [`rts_core::session::LinkSession`] state machine and driven through
+//! the [`Engine`] trait (which the `rts-client` wire client implements
+//! too):
 //!
-//! * **Bounded admission** — [`ServeEngine::submit`] enqueues into a
+//! * **Bounded admission** — [`Engine::submit`] enqueues into a
 //!   fixed-capacity queue and rejects beyond it, so overload surfaces
 //!   as backpressure at the edge instead of unbounded memory.
 //! * **Multi-tenant fairness** — every submission is tagged with a
@@ -33,7 +35,7 @@
 //!   (pinned by the checkpoint-roundtrip parity proptests).
 //! * **Non-blocking feedback** — when a session hits a branching flag
 //!   it is *parked* (worker moves on); the client answers through
-//!   [`ServeEngine::resolve`] and the session re-enters the work queue.
+//!   [`Engine::resolve`] and the session re-enters the work queue.
 //!   No worker is ever held hostage by a waiting human.
 //! * **Joint session chaining** — each request runs table linking then
 //!   column linking, mirroring `run_joint_linking_in`'s joint process,
@@ -57,15 +59,16 @@
 //!   deterministic [`fault::FaultPlan`] injects all of these
 //!   reproducibly; the chaos proptests pin the invariant that every
 //!   submitted ticket still terminates with zero drops.
-//! * **Schema-drift epochs** — [`ServeEngine::invalidate_db`] (or a
+//! * **Schema-drift epochs** — [`Engine::invalidate_db`] (or a
 //!   bumped `DbMeta::revision`) drops cached contexts so new sessions
 //!   rebuild, while in-flight sessions finish on their pinned
 //!   `Arc<LinkContext>`.
-//! * **Shard-level scale-out** — [`ShardedEngine`] partitions workers
-//!   and the context cache by database (revision-stable FNV-1a
-//!   routing, [`rts_core::context::db_shard`]) with work-stealing
-//!   across idle shards; outcomes stay byte-identical to the
-//!   single-shard engine (see the [`shard`] module docs).
+//! * **Shard-level scale-out** — the engine partitions workers and
+//!   the context cache over `n_shards` shards by database
+//!   (revision-stable FNV-1a routing, [`rts_core::context::db_shard`])
+//!   with work-stealing across idle shards; outcomes are
+//!   byte-identical for every shard count, one included (see the
+//!   [`shard`] module docs).
 //! * **Accounting** — per-request latency (p50/p95/p99), queue depth,
 //!   context-cache hit rate and parked-session memory are recorded in
 //!   a [`ServingStats`] snapshot.
@@ -78,8 +81,9 @@
 //! parity tests).
 //!
 //! ```text
+//! let engine = ShardedEngine::new(&model, &mbpp_t, &mbpp_c, &metas, n_shards, config);
 //! crossbeam::thread::scope(|s| {
-//!     for _ in 0..workers { s.spawn(|_| engine.worker_loop()); }
+//!     for i in 0..engine.workers_total() { s.spawn(|_| engine.worker_loop(i)); }
 //!     // clients: submit → wait_event → resolve → … → Done
 //! })
 //! ```
@@ -95,9 +99,101 @@ pub mod tenant;
 pub mod wire;
 
 pub use api::{drive_closed_loop, Engine};
-pub use engine::{ClientEvent, ServeConfig, ServeEngine, ServeOutcome};
+pub use engine::{ClientEvent, ServeConfig, ServeOutcome};
 pub use error::{EngineError, ResolveError, SubmitError};
 pub use fault::{FaultPlan, FaultSite};
 pub use shard::{ShardedEngine, ShardedTicket};
 pub use stats::{LatencySummary, ServingStats};
 pub use tenant::{TenantId, TenantQuota, TicketId};
+
+/// Fixture shared by the engine and shard unit tests: one trained set
+/// per test binary, a pool constructor, and the closed-loop client.
+#[cfg(test)]
+mod testutil {
+    use crate::{drive_closed_loop, ServeConfig, ServeOutcome, ShardedEngine, TenantId};
+    use rts_core::abstention::MitigationPolicy;
+    use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
+    use rts_core::branching::BranchDataset;
+    use rts_core::human::HumanOracle;
+    use rts_core::session::resolve_flag;
+    use simlm::{LinkTarget, SchemaLinker};
+    use std::sync::OnceLock;
+
+    pub(crate) struct Fx {
+        pub(crate) bench: benchgen::Benchmark,
+        pub(crate) model: SchemaLinker,
+        pub(crate) mbpp_t: Mbpp,
+        pub(crate) mbpp_c: Mbpp,
+    }
+
+    impl Fx {
+        /// A pool of `n_shards` shards over the fixture's artefacts.
+        pub(crate) fn engine(&self, n_shards: usize, config: ServeConfig) -> ShardedEngine {
+            ShardedEngine::new(
+                &self.model,
+                &self.mbpp_t,
+                &self.mbpp_c,
+                &self.bench.metas,
+                n_shards,
+                config,
+            )
+        }
+    }
+
+    pub(crate) fn fixture() -> &'static Fx {
+        static FX: OnceLock<Fx> = OnceLock::new();
+        FX.get_or_init(|| {
+            let bench = benchgen::BenchmarkProfile::bird_like()
+                .scaled(0.04)
+                .generate(77);
+            let model = SchemaLinker::new("bird", 5);
+            let cfg = MbppConfig {
+                probe: ProbeConfig {
+                    epochs: 6,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let ds_t = BranchDataset::build(&model, &bench.split.train, LinkTarget::Tables, 300);
+            let ds_c = BranchDataset::build(&model, &bench.split.train, LinkTarget::Columns, 300);
+            let mbpp_t = Mbpp::train(&ds_t, &cfg);
+            let mbpp_c = Mbpp::train(&ds_c, &cfg);
+            Fx {
+                bench,
+                model,
+                mbpp_t,
+                mbpp_c,
+            }
+        })
+    }
+
+    /// Closed-loop client: the shared [`drive_closed_loop`] driver with
+    /// the oracle as the (never-stalling) feedback provider. A `Stale`
+    /// resolve is a legal race (timeout or injected loss beat the
+    /// answer) and is absorbed by the driver.
+    pub(crate) fn client_run(
+        engine: &ShardedEngine,
+        tenant: TenantId,
+        instances: &[benchgen::Instance],
+        oracle: &HumanOracle,
+    ) -> Vec<(u64, ServeOutcome)> {
+        let policy = MitigationPolicy::Human(oracle);
+        drive_closed_loop(engine, tenant, instances, |inst, query| {
+            Some(resolve_flag(&policy, inst, query))
+        })
+    }
+
+    /// Run `body` with the pool's workers up, then shut the pool down
+    /// and join them: every worker has drained before this returns.
+    pub(crate) fn with_workers<T>(engine: &ShardedEngine, body: impl FnOnce() -> T) -> T {
+        crossbeam::thread::scope(|s| {
+            for i in 0..engine.workers_total() {
+                s.spawn(move |_| engine.worker_loop(i));
+            }
+            let out = body();
+            crate::Engine::shutdown(engine);
+            out
+        })
+        .expect("serve scope panicked")
+    }
+}

@@ -1,34 +1,33 @@
-//! Shard-level scale-out: N independent [`ServeEngine`]s partitioned
-//! by database, with work-stealing workers.
+//! The serving engine: a pool of per-database shards with
+//! work-stealing workers, and the crate's one in-process [`Engine`].
 //!
-//! The single engine serializes every dispatch through one state lock
-//! and funnels every context lookup through one
-//! [`ContextCache`](rts_core::context::ContextCache) —
-//! fine at one worker, a scaling wall once an open-loop driver pushes
-//! the offered rate past the saturation knee. [`ShardedEngine`] splits
-//! the serving plane by database: submits route by a *revision-stable*
-//! hash of the database name ([`rts_core::context::db_shard`] — FNV-1a,
-//! pinned by a unit test), so each shard owns a disjoint slice of the
-//! database population together with its own
-//! [`FairQueue`](crate::tenant::FairQueue), context
-//! cache, latency window, and counters. Lock contention and cache
-//! churn stop being global.
+//! One shard serializes every dispatch through one state lock and
+//! funnels every context lookup through one
+//! [`ContextCache`](rts_core::context::ContextCache) — fine at one
+//! worker, a scaling wall once an open-loop driver pushes the offered
+//! rate past the saturation knee. [`ShardedEngine`] splits the serving
+//! plane by database: submits route by a *revision-stable* hash of the
+//! database name ([`rts_core::context::db_shard`] — FNV-1a, pinned by a
+//! unit test), so each shard owns a disjoint slice of the database
+//! population together with its own
+//! [`FairQueue`](crate::tenant::FairQueue), context cache, latency
+//! window, and counters. Lock contention and cache churn stop being
+//! global. With `n_shards = 1` the pool is a single engine.
 //!
 //! **Work stealing.** Database skew is the whole point of the open-loop
 //! driver's Zipf workload, and static partitioning under skew strands
 //! capacity: a shard whose databases are cold sits idle while a hot
-//! shard's queue grows. A sharded worker therefore serves its *home*
-//! shard first and, when the home queue is empty, scans the other
-//! shards for ready work ([`ServeEngine::try_process_one`]), so any
-//! shard's backlog is drained by whatever capacity is free. Stealing
-//! never moves a ticket's *state* — the ticket stays owned by the
-//! shard it was admitted to (its queue accounting, cache, gauges); only
-//! the executing thread crosses shards.
+//! shard's queue grows. A worker therefore serves its *home* shard
+//! first and, when the home queue is empty, scans the other shards for
+//! ready work, so any shard's backlog is drained by whatever capacity
+//! is free. Stealing never moves a ticket's *state* — the ticket stays
+//! owned by the shard it was admitted to (its queue accounting, cache,
+//! gauges); only the executing thread crosses shards.
 //!
 //! **Contracts preserved.** Outcomes are pure functions of the
 //! instance and the seeded config plus the client's resolutions —
 //! worker placement cannot reach them — so a sharded run is
-//! byte-identical to the single-shard engine per request. The
+//! byte-identical to a one-shard run per request. The
 //! `sharded_engine_matches_single_shard` proptest pins that across the
 //! `RTS_THREADS × RTS_REFERENCE` CI matrix. Degrade-only shutdown
 //! likewise survives composition: shutdown fans out to every shard,
@@ -40,7 +39,8 @@
 //! the worst case. That is the deliberate price of shard-local
 //! admission (no cross-shard lock on the submit path).
 
-use crate::engine::{ClientEvent, ServeConfig, ServeEngine};
+use crate::api::Engine;
+use crate::engine::{ClientEvent, ServeConfig, Shard};
 use crate::error::{ResolveError, SubmitError};
 use crate::stats::{LatencySummary, ServingStats};
 use crate::tenant::{TenantId, TicketId};
@@ -49,7 +49,7 @@ use benchgen::Instance;
 use rts_core::abstention::LinkScratch;
 use rts_core::bpp::Mbpp;
 use rts_core::context::db_shard;
-use rts_core::session::FlagResolution;
+use rts_core::session::{FlagQuery, FlagResolution};
 use simlm::SchemaLinker;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,17 +75,20 @@ impl std::fmt::Display for ShardedTicket {
     }
 }
 
-/// A database-sharded pool of [`ServeEngine`]s behind one submit /
-/// wait / resolve surface. See the module docs for the partitioning
-/// and stealing semantics.
+/// The serving engine: a database-sharded pool of shards behind one
+/// [`Engine`] surface. Owns its model artefacts behind [`Arc`]s, so
+/// servers and detached worker threads can share one trained set
+/// without any scoped borrow. Share it by reference across scoped
+/// worker + client threads, or behind an `Arc` across detached ones.
+/// See the module docs for the partitioning and stealing semantics.
 pub struct ShardedEngine {
-    shards: Vec<ServeEngine>,
+    shards: Vec<Shard>,
     workers_per_shard: usize,
     steals: AtomicU64,
 }
 
 impl ShardedEngine {
-    /// Build `n_shards` engines sharing one set of model artefacts
+    /// Build `n_shards` shards sharing one set of model artefacts
     /// (cloned once here into `Arc`s, then shared by every shard) and
     /// database population. `config.workers` is the *total* worker
     /// budget, split evenly (rounded up) across shards; every other
@@ -95,7 +98,7 @@ impl ShardedEngine {
     ///
     /// Every shard is built over the full `metas` slice: routing
     /// partitions *placement*, but a stolen ticket executes on a
-    /// foreign thread against its home shard's state, and an engine
+    /// foreign thread against its home shard's state, and a shard
     /// must be able to answer any database it is asked about.
     pub fn new(
         model: &SchemaLinker,
@@ -130,16 +133,12 @@ impl ShardedEngine {
         let workers_per_shard = config.workers.div_ceil(n).max(1);
         let shards = (0..n)
             .map(|_| {
-                let shard_config = ServeConfig {
-                    workers: workers_per_shard,
-                    ..config.clone()
-                };
-                ServeEngine::with_artifacts(
+                Shard::new(
                     model.clone(),
                     mbpp_tables.clone(),
                     mbpp_columns.clone(),
                     metas.clone(),
-                    shard_config,
+                    config.clone(),
                 )
             })
             .collect();
@@ -179,93 +178,6 @@ impl ShardedEngine {
         db_shard(db, self.shards.len())
     }
 
-    /// Direct access to one shard's engine (stats, cache introspection
-    /// in tests and drivers). `None` past the shard count.
-    pub fn shard(&self, idx: usize) -> Option<&ServeEngine> {
-        self.shards.get(idx)
-    }
-
-    /// Admit a request, routed to its database's shard. Errors are the
-    /// shard-local engine's: `QueueFull`/`QuotaExceeded` describe the
-    /// owning shard, not fleet-wide occupancy.
-    pub fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<ShardedTicket, SubmitError> {
-        let shard = self.shard_of(&inst.db_name);
-        // Routing is modulo the shard count, so the lookup cannot miss
-        // on a constructed pool; degrade to the typed submit error
-        // rather than panicking if that invariant ever breaks.
-        let Some(engine) = self.shards.get(shard) else {
-            return Err(SubmitError::UnknownDatabase {
-                database: inst.db_name.clone(),
-            });
-        };
-        let id = engine.submit(tenant, inst)?;
-        Ok(ShardedTicket {
-            shard: shard as u32,
-            id,
-        })
-    }
-
-    /// Block until `ticket`'s next client-visible event on its owning
-    /// shard. A ticket whose shard index does not resolve reads as
-    /// [`ClientEvent::Retired`] (degrade, never panic).
-    pub fn wait_event(&self, ticket: ShardedTicket) -> ClientEvent {
-        match self.shards.get(ticket.shard as usize) {
-            Some(engine) => engine.wait_event(ticket.id),
-            None => ClientEvent::Retired,
-        }
-    }
-
-    /// Edge-triggered wait on `ticket`'s owning shard — see
-    /// [`ServeEngine::wait_event_changed`].
-    pub fn wait_event_changed(
-        &self,
-        ticket: ShardedTicket,
-        last_seen: Option<&rts_core::session::FlagQuery>,
-    ) -> ClientEvent {
-        match self.shards.get(ticket.shard as usize) {
-            Some(engine) => engine.wait_event_changed(ticket.id, last_seen),
-            None => ClientEvent::Retired,
-        }
-    }
-
-    /// Resolve `ticket`'s pending flag on its owning shard.
-    pub fn resolve(
-        &self,
-        ticket: ShardedTicket,
-        query: &rts_core::session::FlagQuery,
-        resolution: FlagResolution,
-    ) -> Result<(), ResolveError> {
-        match self.shards.get(ticket.shard as usize) {
-            Some(engine) => engine.resolve(ticket.id, query, resolution),
-            None => Err(ResolveError::Retired),
-        }
-    }
-
-    /// Override a tenant's fair-share weight on every shard (a tenant's
-    /// databases may hash anywhere).
-    pub fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
-        for shard in &self.shards {
-            shard.set_tenant_weight(tenant, weight);
-        }
-    }
-
-    /// Signal schema drift for `db` on every shard. The owning shard
-    /// holds the routed entries, but a driver may have warmed another
-    /// shard's cache through direct [`ShardedEngine::shard`] access, so
-    /// invalidation fans out. Returns total contexts dropped.
-    pub fn invalidate_db(&self, db: &str) -> usize {
-        self.shards.iter().map(|s| s.invalidate_db(db)).sum()
-    }
-
-    /// Request shutdown on every shard. Workers drain all shards —
-    /// queued and parked tickets complete with the degrade-only
-    /// guarantees of [`ServeEngine::shutdown`] — then exit.
-    pub fn shutdown(&self) {
-        for shard in &self.shards {
-            shard.shutdown();
-        }
-    }
-
     /// The worker body: spawn [`ShardedEngine::workers_total`] scoped
     /// threads on this, passing each thread its index as `home_hint`.
     /// The worker serves `home_hint % n_shards` first and steals ready
@@ -293,7 +205,7 @@ impl ShardedEngine {
             if did_work {
                 continue;
             }
-            if self.shards.iter().all(ServeEngine::is_shut_down) {
+            if self.shards.iter().all(Shard::is_shut_down) {
                 // All shards flagged down and the scan above found
                 // nothing — but a scan that *started* before the last
                 // flag flipped may have skipped a drain. Sweep every
@@ -321,7 +233,60 @@ impl ShardedEngine {
 
     /// One shard's counter snapshot.
     pub fn shard_stats(&self, idx: usize) -> Option<ServingStats> {
-        self.shards.get(idx).map(ServeEngine::stats)
+        self.shards.get(idx).map(Shard::stats)
+    }
+}
+
+impl Engine for ShardedEngine {
+    type Ticket = ShardedTicket;
+
+    /// Admit a request, routed to its database's shard. Errors are the
+    /// owning shard's: `QueueFull`/`QuotaExceeded` describe that shard,
+    /// not fleet-wide occupancy.
+    fn submit(&self, tenant: TenantId, inst: &Instance) -> Result<ShardedTicket, SubmitError> {
+        let shard = self.shard_of(&inst.db_name);
+        // Routing is modulo the shard count, so the lookup cannot miss
+        // on a constructed pool; degrade to the typed submit error
+        // rather than panicking if that invariant ever breaks.
+        let Some(engine) = self.shards.get(shard) else {
+            return Err(SubmitError::UnknownDatabase {
+                database: inst.db_name.clone(),
+            });
+        };
+        let id = engine.submit(tenant, inst)?;
+        Ok(ShardedTicket {
+            shard: shard as u32,
+            id,
+        })
+    }
+
+    fn wait_event(&self, ticket: ShardedTicket) -> ClientEvent {
+        self.wait_event_changed(ticket, None)
+    }
+
+    /// A ticket whose shard index does not resolve reads as
+    /// [`ClientEvent::Retired`] (degrade, never panic).
+    fn wait_event_changed(
+        &self,
+        ticket: ShardedTicket,
+        last_seen: Option<&FlagQuery>,
+    ) -> ClientEvent {
+        match self.shards.get(ticket.shard as usize) {
+            Some(engine) => engine.wait_event_changed(ticket.id, last_seen),
+            None => ClientEvent::Retired,
+        }
+    }
+
+    fn resolve(
+        &self,
+        ticket: ShardedTicket,
+        query: &FlagQuery,
+        resolution: FlagResolution,
+    ) -> Result<(), ResolveError> {
+        match self.shards.get(ticket.shard as usize) {
+            Some(engine) => engine.resolve(ticket.id, query, resolution),
+            None => Err(ResolveError::Retired),
+        }
     }
 
     /// Fleet-wide counter snapshot: counters and gauges sum across
@@ -330,7 +295,7 @@ impl ShardedEngine {
     /// per-shard max. `tenants_seen` and `tenant_in_flight_peak` are
     /// per-shard maxima (shard-local admission does not track a
     /// tenant's cross-shard occupancy).
-    pub fn stats(&self) -> ServingStats {
+    fn stats(&self) -> ServingStats {
         let mut samples: Vec<f64> = Vec::new();
         for shard in &self.shards {
             samples.extend(shard.latency_samples_ms());
@@ -379,73 +344,47 @@ impl ShardedEngine {
         stats.latency = LatencySummary::from_samples(&samples);
         stats
     }
+
+    /// Signal schema drift for `db` on the shard it routes to. Only
+    /// that shard's cache can hold `db`'s contexts: tickets execute
+    /// against their owning shard's cache even when a worker steals
+    /// them, so invalidation is routed like a submit, and the drift
+    /// counts once.
+    fn invalidate_db(&self, db: &str) -> usize {
+        self.shards
+            .get(self.shard_of(db))
+            .map_or(0, |shard| shard.invalidate_db(db))
+    }
+
+    /// Applies on every shard (a tenant's databases may hash anywhere).
+    fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
+        for shard in &self.shards {
+            shard.set_tenant_weight(tenant, weight);
+        }
+    }
+
+    /// Fans out to every shard. Workers drain all shards — queued
+    /// tickets complete and parked flags degrade to abstention — then
+    /// exit.
+    fn shutdown(&self) {
+        for shard in &self.shards {
+            shard.shutdown();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ServeOutcome;
+    use crate::testutil::{client_run, fixture, with_workers};
     use rts_core::abstention::MitigationPolicy;
-    use rts_core::bpp::{MbppConfig, ProbeConfig};
-    use rts_core::branching::BranchDataset;
     use rts_core::human::{Expertise, HumanOracle};
     use rts_core::session::resolve_flag;
-    use simlm::LinkTarget;
-
-    struct Fx {
-        bench: benchgen::Benchmark,
-        model: SchemaLinker,
-        mbpp_t: Mbpp,
-        mbpp_c: Mbpp,
-    }
-
-    fn fixture() -> Fx {
-        let bench = benchgen::BenchmarkProfile::bird_like()
-            .scaled(0.04)
-            .generate(77);
-        let model = SchemaLinker::new("bird", 5);
-        let cfg = MbppConfig {
-            probe: ProbeConfig {
-                epochs: 6,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let ds_t = BranchDataset::build(&model, &bench.split.train, LinkTarget::Tables, 300);
-        let ds_c = BranchDataset::build(&model, &bench.split.train, LinkTarget::Columns, 300);
-        let mbpp_t = Mbpp::train(&ds_t, &cfg);
-        let mbpp_c = Mbpp::train(&ds_c, &cfg);
-        Fx {
-            bench,
-            model,
-            mbpp_t,
-            mbpp_c,
-        }
-    }
-
-    /// Closed-loop client against the sharded surface: the shared
-    /// [`crate::drive_closed_loop`] driver with the oracle answering
-    /// every flag.
-    fn client_run(
-        engine: &ShardedEngine,
-        tenant: TenantId,
-        instances: &[benchgen::Instance],
-        oracle: &HumanOracle,
-    ) -> Vec<(u64, ServeOutcome)> {
-        let policy = MitigationPolicy::Human(oracle);
-        crate::drive_closed_loop(engine, tenant, instances, |inst, query| {
-            Some(resolve_flag(&policy, inst, query))
-        })
-    }
 
     #[test]
     fn routing_is_stable_and_matches_the_core_hash() {
         let fx = fixture();
-        let engine = ShardedEngine::new(
-            &fx.model,
-            &fx.mbpp_t,
-            &fx.mbpp_c,
-            &fx.bench.metas,
+        let engine = fx.engine(
             3,
             ServeConfig {
                 workers: 3,
@@ -484,11 +423,7 @@ mod tests {
     fn work_stealing_drains_a_shard_with_no_home_workers() {
         let fx = fixture();
         let n_shards = 2;
-        let engine = ShardedEngine::new(
-            &fx.model,
-            &fx.mbpp_t,
-            &fx.mbpp_c,
-            &fx.bench.metas,
+        let engine = fx.engine(
             n_shards,
             ServeConfig {
                 workers: 2,
@@ -542,11 +477,7 @@ mod tests {
     #[test]
     fn per_shard_gauges_drain_to_zero_after_shutdown() {
         let fx = fixture();
-        let engine = ShardedEngine::new(
-            &fx.model,
-            &fx.mbpp_t,
-            &fx.mbpp_c,
-            &fx.bench.metas,
+        let engine = fx.engine(
             2,
             ServeConfig {
                 workers: 2,
@@ -561,19 +492,7 @@ mod tests {
         let instances: Vec<benchgen::Instance> =
             fx.bench.split.dev.iter().take(12).cloned().collect();
         let oracle = HumanOracle::new(Expertise::Expert, 9);
-        let served = crossbeam::thread::scope(|s| {
-            let eng = &engine;
-            let workers: Vec<_> = (0..engine.workers_total())
-                .map(|i| s.spawn(move |_| eng.worker_loop(i)))
-                .collect();
-            let served = client_run(&engine, 0, &instances, &oracle);
-            engine.shutdown();
-            for w in workers {
-                w.join().expect("worker joins");
-            }
-            served
-        })
-        .expect("scope joins");
+        let served = with_workers(&engine, || client_run(&engine, 0, &instances, &oracle));
         assert_eq!(served.len(), instances.len());
         let agg = engine.stats();
         assert!(agg.feedback_rounds > 0, "fixture must exercise feedback");
@@ -590,5 +509,46 @@ mod tests {
             "aggregate counts every shard's completions"
         );
         assert_eq!(agg.parked_bytes_now + agg.checkpoint_bytes_now, 0);
+    }
+
+    #[test]
+    fn invalidation_counts_once_on_the_owning_shard() {
+        let fx = fixture();
+        let engine = fx.engine(
+            3,
+            ServeConfig {
+                workers: 3,
+                ..Default::default()
+            },
+        );
+        // Warm one request per database of the corpus, each on the
+        // shard it routes to.
+        let split = &fx.bench.split;
+        let mut instances: Vec<benchgen::Instance> = Vec::new();
+        for inst in split.train.iter().chain(&split.dev).chain(&split.test) {
+            if instances.iter().all(|i| i.db_name != inst.db_name) {
+                instances.push(inst.clone());
+            }
+        }
+        let oracle = HumanOracle::new(Expertise::Expert, 9);
+        with_workers(&engine, || client_run(&engine, 0, &instances, &oracle));
+        let warmed: Vec<&str> = instances.iter().map(|i| i.db_name.as_str()).collect();
+        let dropped: usize = warmed.iter().map(|db| engine.invalidate_db(db)).sum();
+        // Routing the drift to the owning shard finds every warmed
+        // database's contexts there: both link targets per database.
+        assert_eq!(
+            dropped,
+            2 * warmed.len(),
+            "each warmed context dropped once"
+        );
+        assert_eq!(
+            engine.stats().db_invalidations,
+            warmed.len() as u64,
+            "one drift signal counts once, however many shards the pool has"
+        );
+        for db in &warmed {
+            assert_eq!(engine.invalidate_db(db), 0, "nothing left to drop");
+        }
+        assert_eq!(engine.stats().db_invalidations, 2 * warmed.len() as u64);
     }
 }

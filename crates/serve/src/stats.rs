@@ -42,7 +42,7 @@ impl LatencySummary {
     }
 }
 
-/// Snapshot of an engine's counters (see [`crate::ServeEngine::stats`]).
+/// Snapshot of an engine's counters (see [`crate::Engine::stats`]).
 /// `Default` is the all-zero snapshot of an engine that never served.
 /// Serializable so a standalone server can ship it to a remote client.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
@@ -114,7 +114,7 @@ pub struct ServingStats {
     /// shutdown completes every ticket, it never strands one.
     pub drained_to_abstention: u64,
     /// Explicit schema-drift invalidations
-    /// ([`crate::ServeEngine::invalidate_db`] calls).
+    /// ([`crate::Engine::invalidate_db`] calls).
     pub db_invalidations: u64,
     /// Internal-invariant violations the engine absorbed instead of
     /// panicking (e.g. a dispatched ticket id with no ticket record).

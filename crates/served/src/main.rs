@@ -16,7 +16,7 @@
 //!
 //! * `RTS_SERVED_ADDR` (default `127.0.0.1:7878`) — listen address;
 //! * `RTS_SERVED_SHARDS` (default 1) — database shards;
-//! * `RTS_THREADS` — worker threads per shard (as everywhere).
+//! * `RTS_THREADS` — total engine workers, split across shards.
 //!
 //! The daemon exits 0 after a client sends `Shutdown` and every
 //! connection has drained.

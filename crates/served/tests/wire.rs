@@ -10,7 +10,7 @@ use rts_core::branching::BranchDataset;
 use rts_core::human::{Expertise, HumanOracle};
 use rts_core::session::resolve_flag;
 use rts_serve::wire::{read_frame, write_frame, ClientMsg, ServerMsg, WIRE_VERSION};
-use rts_serve::{ClientEvent, Engine, EngineError, ServeConfig, ServeEngine};
+use rts_serve::{ClientEvent, Engine, EngineError, ServeConfig, ShardedEngine};
 use rts_served::Server;
 use simlm::{LinkTarget, SchemaLinker};
 use std::io::Write;
@@ -55,16 +55,17 @@ fn fixture() -> &'static Fx {
 
 const FP: &str = "wire-robustness-fixture";
 
-/// Stand up a server over a fresh engine on an ephemeral loopback
-/// port. Returns the server handle, its address, and the threads to
-/// join after [`stop`].
-fn start_server(config: ServeConfig) -> (Server<ServeEngine>, String, Vec<JoinHandle<()>>) {
+/// Stand up a server over a fresh 1-shard engine on an ephemeral
+/// loopback port. Returns the server handle, its address, and the
+/// threads to join after [`stop`].
+fn start_server(config: ServeConfig) -> (Server<ShardedEngine>, String, Vec<JoinHandle<()>>) {
     let fx = fixture();
-    let engine = Arc::new(ServeEngine::new(
+    let engine = Arc::new(ShardedEngine::new(
         &fx.model,
         &fx.mbpp_t,
         &fx.mbpp_c,
         &fx.bench.metas,
+        1,
         config,
     ));
     let server = Server::new(
@@ -75,9 +76,9 @@ fn start_server(config: ServeConfig) -> (Server<ServeEngine>, String, Vec<JoinHa
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("loopback addr").to_string();
     let mut threads = Vec::new();
-    for _ in 0..engine.config().workers {
+    for i in 0..engine.workers_total() {
         let engine = Arc::clone(&engine);
-        threads.push(std::thread::spawn(move || engine.worker_loop()));
+        threads.push(std::thread::spawn(move || engine.worker_loop(i)));
     }
     {
         let server = server.clone();
@@ -88,7 +89,7 @@ fn start_server(config: ServeConfig) -> (Server<ServeEngine>, String, Vec<JoinHa
     (server, addr, threads)
 }
 
-fn stop(server: &Server<ServeEngine>, threads: Vec<JoinHandle<()>>) {
+fn stop(server: &Server<ShardedEngine>, threads: Vec<JoinHandle<()>>) {
     server.begin_shutdown();
     for t in threads {
         t.join().expect("server thread panicked");

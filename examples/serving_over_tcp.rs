@@ -23,7 +23,7 @@ use rts::core::bpp::{Mbpp, MbppConfig};
 use rts::core::branching::BranchDataset;
 use rts::core::human::{Expertise, HumanOracle};
 use rts::core::session::resolve_flag;
-use rts::serve::{ClientEvent, Engine, ServeConfig, ServeEngine};
+use rts::serve::{ClientEvent, Engine, ServeConfig, ShardedEngine};
 use rts::served::Server;
 use rts::simlm::{LinkTarget, SchemaLinker};
 use std::net::TcpListener;
@@ -50,11 +50,12 @@ fn main() {
         rts: RtsConfig::default(),
         ..ServeConfig::default()
     };
-    let engine = Arc::new(ServeEngine::new(
+    let engine = Arc::new(ShardedEngine::new(
         &linker,
         &mbpp_t,
         &mbpp_c,
         &bench.metas,
+        1,
         config,
     ));
     let fingerprint = rts::serve::wire::corpus_fingerprint("bird", 0.02, 42, linker.corpus());
@@ -67,9 +68,9 @@ fn main() {
     let addr = listener.local_addr().expect("loopback addr").to_string();
 
     let mut threads = Vec::new();
-    for _ in 0..engine.config().workers {
+    for i in 0..engine.workers_total() {
         let engine = Arc::clone(&engine);
-        threads.push(std::thread::spawn(move || engine.worker_loop()));
+        threads.push(std::thread::spawn(move || engine.worker_loop(i)));
     }
     {
         let server = server.clone();

@@ -18,7 +18,7 @@ use rts::core::bpp::{Mbpp, MbppConfig};
 use rts::core::branching::BranchDataset;
 use rts::core::human::{Expertise, HumanOracle};
 use rts::core::session::resolve_flag;
-use rts::serve::{ClientEvent, ServeConfig, ServeEngine};
+use rts::serve::{ClientEvent, Engine, ServeConfig, ShardedEngine};
 use rts::simlm::{LinkTarget, SchemaLinker};
 
 fn main() {
@@ -31,10 +31,11 @@ fn main() {
     let mbpp_t = Mbpp::train(&ds_t, &MbppConfig::default());
     let mbpp_c = Mbpp::train(&ds_c, &MbppConfig::default());
 
-    // 2. The serving engine: 2 workers, bounded admission, a
-    //    per-tenant quota, lazy per-database context cache. No
+    // 2. The serving engine: one shard, 2 workers, bounded admission,
+    //    a per-tenant quota, lazy per-database context cache. No
     //    contexts exist yet — each tenant pays its own cold start on
-    //    first request.
+    //    first request. More shards partition the same engine by
+    //    database; answers do not change.
     let config = ServeConfig {
         workers: 2,
         queue_capacity: 8,
@@ -48,7 +49,7 @@ fn main() {
         rts: RtsConfig::default(),
         ..ServeConfig::default()
     };
-    let engine = ServeEngine::new(&linker, &mbpp_t, &mbpp_c, &bench.metas, config);
+    let engine = ShardedEngine::new(&linker, &mbpp_t, &mbpp_c, &bench.metas, 1, config);
 
     // 3. A (simulated) expert answers whatever the sessions ask.
     let oracle = HumanOracle::new(Expertise::Expert, 1);
@@ -56,8 +57,9 @@ fn main() {
 
     let instances: Vec<&rts::benchgen::Instance> = bench.split.dev.iter().take(12).collect();
     crossbeam::thread::scope(|s| {
-        for _ in 0..engine.config().workers {
-            s.spawn(|_| engine.worker_loop());
+        let eng = &engine;
+        for i in 0..eng.workers_total() {
+            s.spawn(move |_| eng.worker_loop(i));
         }
 
         // 4. The client loop: submit → wait → (resolve feedback)* → done.

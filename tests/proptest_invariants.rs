@@ -148,7 +148,7 @@ mod parity {
     use rts::core::sqlgen::SqlGenModel;
     use rts::core::traceback::{column_trie, table_trie, trace_back, trace_back_reference};
     use rts::serve::{
-        drive_closed_loop, FaultPlan, ServeConfig, ServeEngine, ServeOutcome, ShardedEngine,
+        drive_closed_loop, Engine, FaultPlan, ServeConfig, ServeOutcome, ShardedEngine,
     };
     use rts::simlm::{
         CorpusVersion, GenMode, LayerSet, LinkTarget, SchemaLinker, SynthScratch, Vocab,
@@ -723,10 +723,10 @@ mod parity {
         }
     }
 
-    /// The `rts-serve` engine ≡ batch `run_full_pipeline` on the same
-    /// instance set: concurrent clients, parked sessions and the lazy
-    /// context cache must change *when* answers arrive, never what
-    /// they are. Runs under the CI parity matrix, so worker scheduling
+    /// The `rts-serve` engine (one shard) ≡ batch `run_full_pipeline`
+    /// on the same instance set: concurrent clients, parked sessions
+    /// and the lazy context cache must change *when* answers arrive,
+    /// never what they are. Runs under the CI parity matrix, so worker scheduling
     /// (`RTS_THREADS`) and every `RTS_REFERENCE` knob are crossed with
     /// the engine's concurrency.
     #[test]
@@ -741,17 +741,19 @@ mod parity {
             rts: config.clone(),
             ..ServeConfig::default()
         };
-        let engine = ServeEngine::new(
+        let engine = ShardedEngine::new(
             &fx.model,
             &fx.mbpp_t,
             &fx.mbpp_c,
             &fx.bench.metas,
+            1,
             serve_cfg,
         );
         let n_clients = 3;
         let served: Vec<(u64, JointOutcome)> = crossbeam::thread::scope(|s| {
-            for _ in 0..engine.config().workers {
-                s.spawn(|_| engine.worker_loop());
+            let eng = &engine;
+            for i in 0..eng.workers_total() {
+                s.spawn(move |_| eng.worker_loop(i));
             }
             let handles: Vec<_> = (0..n_clients)
                 .map(|c| {
@@ -841,11 +843,12 @@ mod parity {
             rts: config.clone(),
             ..ServeConfig::default()
         };
-        let engine = Arc::new(ServeEngine::new(
+        let engine = Arc::new(ShardedEngine::new(
             &fx.model,
             &fx.mbpp_t,
             &fx.mbpp_c,
             &fx.bench.metas,
+            1,
             serve_cfg,
         ));
         let fingerprint = "parity-fixture|wire=v1".to_string();
@@ -858,9 +861,9 @@ mod parity {
         let addr = listener.local_addr().expect("loopback addr").to_string();
         let n_clients = 3;
         let served: Vec<(u64, JointOutcome)> = crossbeam::thread::scope(|s| {
-            for _ in 0..engine.config().workers {
+            for i in 0..engine.workers_total() {
                 let engine = &engine;
-                s.spawn(move |_| engine.worker_loop());
+                s.spawn(move |_| engine.worker_loop(i));
             }
             let srv = server.clone();
             let accept = s.spawn(move |_| srv.serve(listener));
@@ -1123,17 +1126,19 @@ mod parity {
                 rts: base_config(CHAOS_RTS_SEED),
                 ..ServeConfig::default()
             };
-            let engine = ServeEngine::new(
+            let engine = ShardedEngine::new(
                 &fx.model,
                 &fx.mbpp_t,
                 &fx.mbpp_c,
                 &fx.bench.metas,
+                1,
                 serve_cfg,
             );
             let n_clients = 3;
             let served: Vec<(u64, ServeOutcome)> = crossbeam::thread::scope(|s| {
-                for _ in 0..engine.config().workers {
-                    s.spawn(|_| engine.worker_loop());
+                let eng = &engine;
+                for i in 0..eng.workers_total() {
+                    s.spawn(move |_| eng.worker_loop(i));
                 }
                 let handles: Vec<_> = (0..n_clients)
                     .map(|c| {
