@@ -33,6 +33,7 @@ use rts_serve::{
 };
 use simlm::LinkTarget;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -104,6 +105,10 @@ impl Clone for RtsClient {
 enum Dial {
     Ok {
         stream: TcpStream,
+        /// The buffered read half the handshake was read through; it
+        /// may already hold frames the server sent behind `HelloAck`,
+        /// so the connection's reader must take it over.
+        reader: BufReader<TcpStream>,
         session: u64,
         fingerprint: String,
     },
@@ -123,6 +128,14 @@ fn dial(addr: &str, expect: Option<&str>, resume: Option<u64>) -> Dial {
         }
     };
     let _ = stream.set_nodelay(true);
+    let mut reader = match stream.try_clone() {
+        Ok(half) => BufReader::new(half),
+        Err(e) => {
+            return Dial::Retry(EngineError::Transport {
+                detail: format!("clone socket for reading: {e}"),
+            })
+        }
+    };
     if let Err(e) = write_frame(
         &mut stream,
         &ClientMsg::Hello {
@@ -132,7 +145,7 @@ fn dial(addr: &str, expect: Option<&str>, resume: Option<u64>) -> Dial {
     ) {
         return Dial::Retry(e.into());
     }
-    match read_frame::<_, ServerMsg>(&mut stream) {
+    match read_frame::<_, ServerMsg>(&mut reader) {
         Ok(Some(ServerMsg::HelloAck {
             version,
             session,
@@ -154,6 +167,7 @@ fn dial(addr: &str, expect: Option<&str>, resume: Option<u64>) -> Dial {
             }
             Dial::Ok {
                 stream,
+                reader,
                 session,
                 fingerprint,
             }
@@ -300,14 +314,10 @@ impl RtsClient {
             match outcome {
                 Dial::Ok {
                     stream,
+                    reader,
                     session,
                     fingerprint,
                 } => {
-                    let Ok(reader_stream) = stream.try_clone() else {
-                        st.dead = true;
-                        self.inner.bell.notify_all();
-                        continue;
-                    };
                     st.stream = Some(stream);
                     st.session = Some(session);
                     st.fingerprint = Some(fingerprint);
@@ -319,7 +329,7 @@ impl RtsClient {
                     // The reader holds only a weak handle so `Drop` on
                     // the last client can see itself as the last owner.
                     let inner = Arc::downgrade(&self.inner);
-                    std::thread::spawn(move || reader_loop(&inner, reader_stream, generation));
+                    std::thread::spawn(move || reader_loop(&inner, reader, generation));
                     return Ok(());
                 }
                 Dial::Retry(e) | Dial::Fatal(e) => {
@@ -408,10 +418,12 @@ impl Drop for RtsClient {
 
 /// Route incoming frames into per-request mailboxes until the
 /// connection dies. One per connection generation; a stale reader
-/// (superseded by a reconnect) exits without touching state.
-fn reader_loop(weak: &Weak<ClientInner>, mut stream: TcpStream, generation: u64) {
+/// (superseded by a reconnect) exits without touching state. The
+/// buffered reader lets one `read` cover every frame the server
+/// batched into a single write.
+fn reader_loop(weak: &Weak<ClientInner>, mut reader: BufReader<TcpStream>, generation: u64) {
     loop {
-        let msg = match read_frame::<_, ServerMsg>(&mut stream) {
+        let msg = match read_frame::<_, ServerMsg>(&mut reader) {
             Ok(Some(msg)) => msg,
             Ok(None) | Err(_) => {
                 let Some(inner) = weak.upgrade() else { return };

@@ -111,8 +111,10 @@ impl From<WireError> for EngineError {
     }
 }
 
-/// Serialize `msg` into one length-prefixed frame on `w`.
-pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), WireError> {
+/// Serialize `msg` and append it to `buf` as one length-prefixed
+/// frame. Appending lets a writer batch every queued frame into one
+/// buffer and hand the socket a single write.
+pub fn encode_frame<T: Serialize>(buf: &mut Vec<u8>, msg: &T) -> Result<(), WireError> {
     let payload = serde_json::to_string(msg).map_err(|e| WireError::Malformed {
         detail: e.to_string(),
     })?;
@@ -122,12 +124,22 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), Wir
             len: bytes.len() as u64,
         });
     }
-    let prefix = (bytes.len() as u32).to_le_bytes();
+    buf.reserve(4 + bytes.len());
+    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    buf.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// Serialize `msg` into one length-prefixed frame on `w`: prefix and
+/// payload leave in a single `write_all`, so an unbuffered socket
+/// sends one segment per frame, not two.
+pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), WireError> {
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, msg)?;
     let io = |e: std::io::Error| WireError::Io {
         detail: e.to_string(),
     };
-    w.write_all(&prefix).map_err(io)?;
-    w.write_all(bytes).map_err(io)?;
+    w.write_all(&frame).map_err(io)?;
     w.flush().map_err(io)
 }
 
@@ -135,6 +147,11 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), Wir
 /// clean end of stream (the peer closed *between* frames); every other
 /// failure is typed — truncation, an oversized prefix (refused before
 /// allocating), undecodable payload, or a socket error.
+///
+/// `read_frame` consumes exactly one frame's bytes, so it works on a
+/// raw socket; wrap a socket in a [`std::io::BufReader`] to cover the
+/// prefix, the payload and any frames queued behind them with one
+/// `read`.
 pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<Option<T>, WireError> {
     let mut prefix = [0u8; 4];
     let mut got = 0usize;
@@ -327,16 +344,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_every_client_message() {
-        let query = FlagQuery {
-            instance: 7,
-            is_table: true,
-            round: 1,
-            branch_pos: 3,
-            element_idx: 0,
-            gold_element: "t_orders".into(),
-            implicated: vec!["t_orders".into(), "t_users".into()],
-            predicted: vec!["t_users".into()],
-        };
+        let query = sample_query();
         for msg in [
             ClientMsg::Hello {
                 version: WIRE_VERSION,
@@ -382,6 +390,170 @@ mod tests {
         assert!(matches!(a, Some(ClientMsg::Stats { req: 1 })));
         assert!(matches!(b, Some(ClientMsg::Bye)));
         assert!(end.is_none(), "between-frames EOF reads as None");
+    }
+
+    /// A writer that records how many `write` calls it saw.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader that hands out one byte per `read`, the worst case a
+    /// socket may legally produce.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((b, rest)), Some(slot)) => {
+                    *slot = *b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    fn sample_query() -> FlagQuery {
+        FlagQuery {
+            instance: 7,
+            is_table: true,
+            round: 1,
+            branch_pos: 3,
+            element_idx: 0,
+            gold_element: "t_orders".into(),
+            implicated: vec!["t_orders".into(), "t_users".into()],
+            predicted: vec!["t_users".into()],
+        }
+    }
+
+    fn sample_done() -> ServerMsg {
+        ServerMsg::Done {
+            req: 5,
+            outcome: WireOutcome {
+                outcome: JointOutcome {
+                    tables: rts_core::abstention::RtsOutcome {
+                        abstained: false,
+                        predicted: vec!["t_orders".into()],
+                        correct: true,
+                        would_be_correct: true,
+                        n_interventions: 1,
+                        n_flags: 2,
+                    },
+                    columns: rts_core::abstention::RtsOutcome {
+                        abstained: true,
+                        predicted: Vec::new(),
+                        correct: false,
+                        would_be_correct: false,
+                        n_interventions: 0,
+                        n_flags: 1,
+                    },
+                },
+                shed: false,
+                timed_out: true,
+                faulted: false,
+                drained: false,
+                latency_us: 1234,
+                n_feedback: 3,
+            },
+        }
+    }
+
+    #[test]
+    fn write_frame_makes_one_write_per_frame() {
+        let mut w = CountingWriter::default();
+        let msgs = [
+            ServerMsg::Submitted { req: 1 },
+            ServerMsg::NeedsFeedback {
+                req: 1,
+                target: LinkTarget::Columns,
+                query: sample_query(),
+            },
+            sample_done(),
+        ];
+        for (i, msg) in msgs.iter().enumerate() {
+            write_frame(&mut w, msg).expect("writes");
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+        }
+        // The single write carries exactly what `encode_frame` builds.
+        let mut batch = Vec::new();
+        for msg in &msgs {
+            encode_frame(&mut batch, msg).expect("encodes");
+        }
+        assert_eq!(w.bytes, batch);
+    }
+
+    #[test]
+    fn one_byte_reads_match_buffered_back_to_back_frames() {
+        let msgs = [
+            ServerMsg::Submitted { req: 1 },
+            ServerMsg::NeedsFeedback {
+                req: 1,
+                target: LinkTarget::Tables,
+                query: sample_query(),
+            },
+            ServerMsg::Resolved { req: 2 },
+            sample_done(),
+            ServerMsg::Retired { req: 9 },
+        ];
+        let mut bytes = Vec::new();
+        for msg in &msgs {
+            encode_frame(&mut bytes, msg).expect("encodes");
+        }
+        fn drain<R: Read>(mut r: R) -> Vec<String> {
+            let mut got = Vec::new();
+            while let Some(msg) = read_frame::<_, ServerMsg>(&mut r).expect("reads") {
+                got.push(format!("{msg:?}"));
+            }
+            got
+        }
+        let trickled = drain(OneByte(&bytes));
+        let buffered = drain(std::io::BufReader::new(Cursor::new(&bytes)));
+        let sent: Vec<String> = msgs.iter().map(|m| format!("{m:?}")).collect();
+        assert_eq!(trickled, sent);
+        assert_eq!(buffered, sent);
+    }
+
+    #[test]
+    fn golden_frames_are_pinned() {
+        // Batching changes how frames reach the socket, never their
+        // bytes: these are the exact frames a version-1 peer sends.
+        let submit = br#"{"Submit":{"req":3,"tenant":1,"instance":904}}"#;
+        let done = br#"{"Done":{"req":5,"outcome":{"outcome":{"tables":{"abstained":false,"predicted":["t_orders"],"correct":true,"would_be_correct":true,"n_interventions":1,"n_flags":2},"columns":{"abstained":true,"predicted":[],"correct":false,"would_be_correct":false,"n_interventions":0,"n_flags":1}},"shed":false,"timed_out":true,"faulted":false,"drained":false,"latency_us":1234,"n_feedback":3}}}"#;
+        let framed = |payload: &[u8]| {
+            let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+            f.extend_from_slice(payload);
+            f
+        };
+        let mut got = Vec::new();
+        write_frame(
+            &mut got,
+            &ClientMsg::Submit {
+                req: 3,
+                tenant: 1,
+                instance: 904,
+            },
+        )
+        .expect("writes");
+        assert_eq!(got, framed(submit));
+        assert_eq!(&got[..4], &[46, 0, 0, 0]);
+        let mut got = Vec::new();
+        write_frame(&mut got, &sample_done()).expect("writes");
+        assert_eq!(got, framed(done));
     }
 
     #[test]

@@ -272,12 +272,19 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run up to the next `"` or `\`
+                    // in one push. The input came from a `&str` and
+                    // both delimiters are ASCII, so the cut lands on a
+                    // char boundary and the run is valid UTF-8 — the
+                    // check below is O(run), never O(rest of input).
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
+                        .map_err(|_| Error::custom("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -342,6 +349,71 @@ mod tests {
             let json = to_string(&x).unwrap();
             assert_eq!(from_str::<u64>(&json).unwrap(), x);
         }
+    }
+
+    #[test]
+    fn strings_mixing_runs_escapes_and_multibyte_round_trip() {
+        for s in [
+            "",
+            "plain ascii run",
+            "é",
+            "naïve café — résumé ✓ 表",
+            "\"",
+            "\\",
+            "\n",
+            "\"\\\n\r\t\"\\",
+            "a\"b\\c\nd",
+            "é\"é\\é\né",
+            "t_orders\"\\\n表é\u{1F600}end",
+            "\u{1}\u{1f}",
+        ] {
+            let json = to_string(&s).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), s, "json {json}");
+        }
+        // Escapes the writer never emits still decode.
+        assert_eq!(
+            from_str::<String>(r#""\/\b\féx""#).unwrap(),
+            "/\u{8}\u{c}éx"
+        );
+    }
+
+    #[test]
+    fn string_writer_output_is_pinned() {
+        assert_eq!(to_string(&"").unwrap(), r#""""#);
+        assert_eq!(to_string(&"é\"\\\n").unwrap(), "\"é\\\"\\\\\\n\"");
+        assert_eq!(to_string(&"\r\t\u{1}").unwrap(), r#""\r\t\u0001""#);
+    }
+
+    #[test]
+    fn bad_strings_are_typed_errors() {
+        for bad in [
+            r#""unterminated"#,
+            r#""ends in escape\"#,
+            r#""é run then eof"#,
+            "\"",
+        ] {
+            let err = from_str::<String>(bad).unwrap_err();
+            assert!(err.to_string().contains("unterminated") || err.to_string().contains("escape"));
+        }
+        assert!(from_str::<String>(r#""\q""#)
+            .unwrap_err()
+            .to_string()
+            .contains("unknown escape"));
+        assert!(from_str::<String>(r#""\u12""#)
+            .unwrap_err()
+            .to_string()
+            .contains("\\u escape"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // The old per-character parser re-validated the rest of the
+        // input for every character: 1 MiB of plain text took minutes.
+        let s = "é".repeat(1 << 19);
+        let json = to_string(&s).unwrap();
+        let start = std::time::Instant::now();
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]
