@@ -4,9 +4,13 @@
 //! deployed pipeline.
 
 use benchgen::BenchmarkProfile;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rts_core::abstention::{LinkScratch, MitigationPolicy, RtsConfig};
 use rts_core::bpp::{Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
+use rts_core::context::LinkContexts;
+use rts_core::human::{Expertise, HumanOracle};
+use rts_core::session::{resolve_flag, CtxHandle, FlagResolution, LinkSession, SessionState};
 use simlm::{GenMode, LinkTarget, SchemaLinker, Vocab};
 use std::hint::black_box;
 use tinynn::rng::SplitMix64;
@@ -130,10 +134,10 @@ fn bench_probe_training(c: &mut Criterion) {
     });
 }
 
-fn bench_flagging(c: &mut Criterion) {
-    let (bench, linker) = setup();
-    let ds = BranchDataset::build(&linker, &bench.split.train, LinkTarget::Tables, 150);
-    let mbpp = Mbpp::train(
+/// The table-linking mBPP the flagging benches monitor with.
+fn train_mbpp(bench: &benchgen::Benchmark, linker: &SchemaLinker) -> Mbpp {
+    let ds = BranchDataset::build(linker, &bench.split.train, LinkTarget::Tables, 150);
+    Mbpp::train(
         &ds,
         &MbppConfig {
             probe: ProbeConfig {
@@ -142,13 +146,75 @@ fn bench_flagging(c: &mut Criterion) {
             },
             ..Default::default()
         },
-    );
+    )
+}
+
+fn bench_flagging(c: &mut Criterion) {
+    let (bench, linker) = setup();
+    let mbpp = train_mbpp(&bench, &linker);
     let inst = &bench.split.dev[0];
     let mut vocab = Vocab::new();
     let trace = linker.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free);
     c.bench_function("rts/mbpp_flag_trace", |b| {
         let mut rng = SplitMix64::new(17);
         b.iter(|| black_box(mbpp.flag_trace(&trace, &mut rng)))
+    });
+}
+
+/// One incremental correction round: a session suspended on a flag
+/// takes the expert's pin, and the next `step` regenerates the stream
+/// from the stale round (every position whose synthesis key the pin
+/// left unchanged keeps its hidden stack) and monitors it (probing only
+/// the positions not taken over). Round 0 is set-up, outside the
+/// timing.
+fn bench_correction_round(c: &mut Criterion) {
+    let (bench, linker) = setup();
+    let mbpp = train_mbpp(&bench, &linker);
+    let contexts = LinkContexts::build(&bench);
+    let oracle = HumanOracle::new(Expertise::Expert, 5);
+    let policy = MitigationPolicy::Human(&oracle);
+    let config = RtsConfig::default();
+    let mut scratch = LinkScratch::default();
+    let dev = &bench.split.dev;
+    let mut suspended = |i: usize| {
+        let inst = &dev[i];
+        let meta = bench.meta(&inst.db_name).expect("instance database exists");
+        let ctx = contexts.get(&inst.db_name, LinkTarget::Tables);
+        let mut session = LinkSession::new(
+            &linker,
+            &mbpp,
+            inst,
+            meta,
+            LinkTarget::Tables,
+            Some(CtxHandle::Borrowed(ctx)),
+            None,
+            &config,
+        );
+        match session.step(&mut scratch) {
+            SessionState::NeedsFeedback(query) => Some((session, query)),
+            SessionState::Done(_) => None,
+        }
+    };
+    // The first dev instance whose round 0 is flagged and pinned.
+    let (i, pin) = (0..dev.len())
+        .find_map(|i| {
+            let (_, query) = suspended(i)?;
+            match resolve_flag(&policy, &dev[i], &query) {
+                pin @ FlagResolution::Pin(_) => Some((i, pin)),
+                _ => None,
+            }
+        })
+        .expect("some dev instance takes a pin");
+    let mut step_scratch = LinkScratch::default();
+    c.bench_function("rts/correction_round", |b| {
+        b.iter_batched(
+            || suspended(i).expect("the instance suspends").0,
+            |mut session| {
+                session.resolve(pin.clone());
+                session.step(&mut step_scratch)
+            },
+            BatchSize::SmallInput,
+        )
     });
 }
 
@@ -159,6 +225,7 @@ criterion_group!(
     bench_v2_chunked_vs_sequential,
     bench_branch_dataset,
     bench_probe_training,
-    bench_flagging
+    bench_flagging,
+    bench_correction_round
 );
 criterion_main!(benches);

@@ -19,7 +19,11 @@
 //! Teacher-forcing-style continuation is realised by *regenerating* the
 //! stream with the resolved element's decision overridden — equivalent
 //! to forcing the token and letting the model continue, because
-//! decisions are drawn independently per element.
+//! decisions are drawn independently per element. The
+//! [`LinkSession`] regenerates incrementally: only the positions whose
+//! synthesis inputs the pin changed are synthesized and probed again
+//! (see the session module docs); the monolithic loop below regenerates
+//! whole rounds.
 
 use crate::bpp::Mbpp;
 use crate::context::{implicated_elements_reference, LinkContext};
@@ -46,8 +50,9 @@ pub struct RtsConfig {
     /// Seed for the permutation-merge randomness.
     pub seed: u64,
     /// Monitor with the per-token reference loop instead of the batched
-    /// scoring path. Flags are identical either way (see the parity
-    /// proptest); this knob exists for A/B benchmarking and debugging.
+    /// scoring path, re-monitoring every correction round from scratch.
+    /// Flags are identical either way (see the parity proptest); this
+    /// knob exists for A/B benchmarking and debugging.
     pub per_token_monitoring: bool,
     /// Synthesize the full hidden stack for every generated trace
     /// instead of only the layers the monitor reads (the pre-lazy
@@ -57,8 +62,9 @@ pub struct RtsConfig {
     /// benchmarking and debugging, mirroring `per_token_monitoring`.
     pub eager_synthesis: bool,
     /// Run the pre-`LinkContext` reference path: generate the
-    /// unmonitored counterfactual explicitly, regenerate the stream on
-    /// every correction round even when no override changed it, rebuild
+    /// unmonitored counterfactual explicitly, regenerate (from scratch,
+    /// with no reuse source) and re-monitor the stream on every
+    /// correction round even when no override changed it, rebuild
     /// the candidate trie from a vocabulary clone on every flag, and
     /// trace back by re-decoding the full prefix each step. Outcomes,
     /// flags, implicated sets and the merge RNG stream are identical
@@ -121,6 +127,14 @@ pub struct RtsOutcome {
 /// generation filled. Generation is deterministic, so reusing such a
 /// trace is bit-identical to regenerating it (pinned by the
 /// `from_trace_linking_matches_regenerating` parity proptest).
+///
+/// The session only reads the borrowed round. When a pin supersedes
+/// it, it is still the next round's reuse source: generation copies
+/// the hidden stacks of the positions whose synthesis key did not
+/// change ([`simlm::ReuseSource::Borrowed`]) and takes the check of
+/// instance, target and layer set from the trace itself, so a trace
+/// generated under a different layer set is not wrong, only not
+/// reused.
 #[derive(Debug, Clone, Copy)]
 pub struct Round0<'a> {
     pub trace: &'a GenerationTrace,
@@ -231,24 +245,25 @@ pub fn run_rts_linking_from(
 }
 
 /// The round state: round 0 may be borrowed from the caller
-/// ([`Round0`]); regenerated rounds are owned.
+/// ([`Round0`]); regenerated rounds are owned (boxed so the two
+/// variants stay the same size).
 enum Round<'a> {
     Borrowed(Round0<'a>),
-    Owned(GenerationTrace, Vocab),
+    Owned(Box<(GenerationTrace, Vocab)>),
 }
 
 impl Round<'_> {
     fn trace(&self) -> &GenerationTrace {
         match self {
             Round::Borrowed(r) => r.trace,
-            Round::Owned(t, _) => t,
+            Round::Owned(r) => &r.0,
         }
     }
 
     fn vocab(&self) -> &Vocab {
         match self {
             Round::Borrowed(r) => r.vocab,
-            Round::Owned(_, v) => v,
+            Round::Owned(r) => &r.1,
         }
     }
 }
@@ -369,7 +384,7 @@ pub fn run_rts_linking_monolithic(
                 &monitor_layers,
                 &mut scratch.synth,
             );
-            cur = Some(Round::Owned(trace, vocab));
+            cur = Some(Round::Owned(Box::new((trace, vocab))));
             stale = false;
         }
         let round = cur.as_ref().expect("round state populated");

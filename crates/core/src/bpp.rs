@@ -95,17 +95,64 @@ pub struct SbppScratch {
     probs: Vec<f32>,
 }
 
+/// A trace's conformal prediction sets: one [`LabelSet`] per (position,
+/// selected probe), position-major. Row `t` is a pure function of the
+/// hidden stack at position `t`, so a position whose stack carries over
+/// from a previous round carries its row over too.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct PredictionSets {
+    /// Sets per position (the number of selected probes).
+    k: usize,
+    sets: Vec<LabelSet>,
+}
+
+impl PredictionSets {
+    /// Number of positions.
+    fn len(&self) -> usize {
+        self.sets.len().checked_div(self.k).unwrap_or(0)
+    }
+
+    /// Position `t`'s sets, in selected-probe order.
+    fn row(&self, t: usize) -> &[LabelSet] {
+        &self.sets[t * self.k..(t + 1) * self.k]
+    }
+
+    /// Heap bytes the sets occupy.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.sets.as_slice())
+    }
+}
+
 /// Scratch for [`Mbpp::flag_trace_with_scratch`]: the per-layer packed
-/// hidden-state matrix plus the per-probe scoring buffers.
+/// hidden-state matrix, the per-probe scoring buffers and the last
+/// trace's prediction sets. Also counts probing work (positions pushed
+/// through the probes); the counter is for tests and never reaches a
+/// report.
 #[derive(Debug, Default, Clone)]
 pub struct BppScratch {
-    /// One packed (n_tokens × hidden_dim) matrix per selected probe,
-    /// filled in a single pass over the trace.
+    /// One packed (rows × hidden_dim) matrix per selected probe, filled
+    /// in a single pass over the positions being probed.
     packed: Vec<Matrix>,
     sbpp: SbppScratch,
-    /// Per selected probe, the per-token prediction sets of the current
-    /// trace (buffers reused across traces).
-    sets_per_probe: Vec<Vec<LabelSet>>,
+    /// Per selected probe, the sets of the probed positions.
+    probe_sets: Vec<Vec<LabelSet>>,
+    /// The positions the last pass probed, in order.
+    probed: Vec<usize>,
+    /// The last trace's prediction sets, every position.
+    sets: PredictionSets,
+    probed_rows: u64,
+}
+
+impl BppScratch {
+    /// The prediction sets [`Mbpp::predict_sets`] last filled.
+    pub fn sets(&self) -> &PredictionSets {
+        &self.sets
+    }
+
+    /// Positions pushed through the probes so far.
+    pub fn probed_rows(&self) -> u64 {
+        self.probed_rows
+    }
 }
 
 impl Sbpp {
@@ -505,61 +552,99 @@ impl Mbpp {
     }
 
     /// [`Mbpp::flag_trace`] with caller-owned scratch buffers, for hot
-    /// loops that flag many traces (monitored linking re-generates the
-    /// stream once per correction round).
+    /// loops that flag many traces: [`Mbpp::predict_sets`] over every
+    /// position, then [`Mbpp::merge_sets`].
     pub fn flag_trace_with_scratch(
         &self,
         trace: &GenerationTrace,
         rng: &mut SplitMix64,
         scratch: &mut BppScratch,
     ) -> Vec<bool> {
-        let n = trace.steps.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Pack every selected layer's hidden states in one pass over the
-        // trace (each step's hidden stack is touched once), then run one
-        // batched scoring pass per probe into reused set buffers.
-        let dim = trace.steps[0].hidden.dim();
-        scratch
-            .packed
-            .resize(self.selected.len(), Matrix::default());
-        scratch
-            .sets_per_probe
-            .resize(self.selected.len(), Vec::new());
-        for m in scratch.packed.iter_mut() {
-            m.resize_for_overwrite(n, dim);
-        }
-        // Fused multi-layer variant of `GenerationTrace::pack_layer_into`:
-        // one pass over the steps fills every selected layer's matrix.
+        self.predict_sets(trace, None, scratch);
+        self.merge_sets(&scratch.sets, rng)
+    }
+
+    /// The pure half of monitoring: every position's per-probe
+    /// prediction sets, into [`BppScratch::sets`]. No RNG.
+    ///
+    /// With `prev` — the sets of the round `trace` was generated from as
+    /// a reuse source ([`simlm::SchemaLinker::generate_reusing`]) — a
+    /// position whose hidden stack was taken over
+    /// ([`simlm::StepTrace::is_reused`]) copies its row from `prev`,
+    /// and only the other positions go through the probes: per selected
+    /// probe, their hidden states are packed into one matrix and pushed
+    /// through one scaler transform and one MLP forward. A probe scores
+    /// each row on its own, so the sets are the ones a full pass would
+    /// produce.
+    pub fn predict_sets(
+        &self,
+        trace: &GenerationTrace,
+        prev: Option<&PredictionSets>,
+        scratch: &mut BppScratch,
+    ) {
+        let k = self.selected.len();
+        let prev = prev.filter(|p| p.k == k);
+        let BppScratch {
+            packed,
+            sbpp,
+            probe_sets,
+            probed,
+            sets,
+            probed_rows,
+        } = scratch;
+        sets.k = k;
+        sets.sets.clear();
+        probed.clear();
         for (t, step) in trace.steps.iter().enumerate() {
+            match prev.filter(|p| step.is_reused() && t < p.len()) {
+                Some(p) => sets.sets.extend_from_slice(p.row(t)),
+                None => {
+                    sets.sets.resize(sets.sets.len() + k, LabelSet::EMPTY);
+                    probed.push(t);
+                }
+            }
+        }
+        *probed_rows += probed.len() as u64;
+        if probed.is_empty() {
+            return;
+        }
+        // Pack every selected layer's rows in one pass over the probed
+        // positions (each hidden stack is touched once), then run one
+        // batched scoring pass per probe into reused buffers.
+        let dim = trace.steps[0].hidden.dim();
+        packed.resize(k, Matrix::default());
+        probe_sets.resize(k, Vec::new());
+        for m in packed.iter_mut() {
+            m.resize_for_overwrite(probed.len(), dim);
+        }
+        for (r, &t) in probed.iter().enumerate() {
+            let hidden = &trace.steps[t].hidden;
             for (slot, &i) in self.selected.iter().enumerate() {
-                scratch.packed[slot]
-                    .row_mut(t)
-                    .copy_from_slice(step.hidden.layer(self.sbpps[i].layer));
+                packed[slot]
+                    .row_mut(r)
+                    .copy_from_slice(hidden.layer(self.sbpps[i].layer));
             }
         }
         for (slot, &i) in self.selected.iter().enumerate() {
-            self.sbpps[i].predict_sets_into(
-                &scratch.packed[slot],
-                &mut scratch.sbpp,
-                &mut scratch.sets_per_probe[slot],
-            );
+            self.sbpps[i].predict_sets_into(&packed[slot], sbpp, &mut probe_sets[slot]);
+            for (r, &t) in probed.iter().enumerate() {
+                sets.sets[t * k + slot] = probe_sets[slot][r];
+            }
         }
-        let sets_per_probe = &scratch.sets_per_probe;
-        // Merge per token in the same order (and with the same RNG
-        // consumption pattern) as the per-token path.
-        let mut sets: Vec<LabelSet> = Vec::with_capacity(self.selected.len());
-        (0..n)
+    }
+
+    /// The RNG half of monitoring: merge every position's sets into its
+    /// flag, in position order. Empty per-probe sets abstain and are
+    /// dropped before the merge. Draws exactly what the per-token loop
+    /// draws, so the merge RNG stays in lock-step with
+    /// [`Mbpp::flag_trace_per_token`].
+    pub fn merge_sets(&self, sets: &PredictionSets, rng: &mut SplitMix64) -> Vec<bool> {
+        let mut voting: Vec<LabelSet> = Vec::with_capacity(sets.k);
+        (0..sets.len())
             .map(|t| {
-                sets.clear();
-                sets.extend(
-                    sets_per_probe
-                        .iter()
-                        .map(|probe_sets| probe_sets[t])
-                        .filter(|s| !s.is_empty()),
-                );
-                self.merge_token_sets(&sets, rng)
+                voting.clear();
+                voting.extend(sets.row(t).iter().copied().filter(|s| !s.is_empty()));
+                self.merge_token_sets(&voting, rng)
             })
             .collect()
     }

@@ -21,14 +21,30 @@
 //! [`crate::abstention::run_rts_linking_monolithic`] and pinned by the
 //! `session_linking_matches_monolithic_loop` parity proptest), so
 //! every committed `results/*.json` is unchanged by the refactor.
+//!
+//! Correction rounds are incremental. A round is its trace, its
+//! vocabulary and — once the session suspends on it — the mBPP
+//! prediction sets its monitoring computed. `resolve(Pin)` keeps the
+//! now-stale round and the next `step` regenerates *from* it
+//! ([`simlm::SchemaLinker::generate_reusing`]): a position whose
+//! synthesis key (position, token id, latent risk bits) the pin left
+//! unchanged takes over the old hidden stack, and its prediction sets
+//! with it ([`Mbpp::predict_sets`]), so only the changed positions are
+//! synthesized and probed. The merge ([`Mbpp::merge_sets`]) still runs
+//! over every position in order, so the RNG stream is untouched. A
+//! `Continue` leaves the stream unchanged and re-runs only the merge.
+//! The monolith and the `reference_linking` / `per_token_monitoring`
+//! oracles regenerate and re-monitor every round from scratch; the
+//! `incremental_round_matches_fresh_generation` parity proptest pins
+//! the incremental path to them.
 
 use crate::abstention::{LinkScratch, MitigationPolicy, Round0, RtsConfig, RtsOutcome};
-use crate::bpp::Mbpp;
+use crate::bpp::{BppScratch, Mbpp, PredictionSets};
 use crate::context::LinkContext;
 use benchgen::schemagen::DbMeta;
 use benchgen::Instance;
 use serde::{Deserialize, Serialize};
-use simlm::{Decision, GenMode, GenerationTrace, LinkTarget, SchemaLinker, Vocab};
+use simlm::{Decision, GenMode, GenerationTrace, LinkTarget, ReuseSource, SchemaLinker, Vocab};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -140,7 +156,8 @@ pub enum FlagResolution {
 
 /// The serializable state of a suspended [`LinkSession`] — everything a
 /// parked session owns that cannot be rebuilt from its construction
-/// arguments, *minus* the current round's trace and vocabulary.
+/// arguments, *minus* the current round's trace, vocabulary and
+/// prediction sets.
 ///
 /// The trace is the whole point of checkpointing: its synthesized
 /// hidden-state stacks dominate a parked session's memory
@@ -148,10 +165,11 @@ pub enum FlagResolution {
 /// `(instance, overrides, layer set)` — so the checkpoint records the
 /// *recipe* (the override map it was generated under) instead of the
 /// data, and [`LinkSession::restore`] re-synthesizes a bit-identical
-/// round. What must survive verbatim is everything generation does NOT
-/// determine: the merge-RNG state (flags already consumed draws from
-/// it), the flag/intervention counters, the handled-element set, and
-/// the pending query. Pinned end to end by the
+/// round and re-probes it for its prediction sets (a pure function of
+/// the trace). What must survive verbatim is everything generation
+/// does NOT determine: the merge-RNG state (flags already consumed
+/// draws from it), the flag/intervention counters, the handled-element
+/// set, and the pending query. Pinned end to end by the
 /// `checkpoint_roundtrip_matches_monolithic_loop` parity proptest.
 ///
 /// Invariant this leans on: while a session is suspended, the current
@@ -189,13 +207,26 @@ pub struct SessionCheckpoint {
 }
 
 impl SessionCheckpoint {
-    /// Does this checkpoint belong to `(inst, target)`?
-    /// [`LinkSession::restore`] asserts exactly this; an engine
-    /// restoring possibly-corrupt decoded bytes checks it first so a
-    /// mismatch can degrade to abstention instead of panicking a
-    /// worker.
+    /// Is this the checkpoint of a suspension of `(inst, target)`?
+    /// [`LinkSession::restore`] asserts the `(inst, target)` half. The
+    /// rest are invariants every checkpoint [`LinkSession::checkpoint`]
+    /// writes holds: a current round that is not stale, a pending flag
+    /// of the same instance and target, and at least one round run. An
+    /// engine restoring possibly-corrupt decoded bytes checks all of it
+    /// first, so bytes that still parse but break it degrade to
+    /// abstention instead of panicking a worker (resolving a session
+    /// with no pending flag panics by contract).
     pub fn matches(&self, inst: &Instance, target: LinkTarget) -> bool {
-        self.instance == inst.id && self.is_table == (target == LinkTarget::Tables)
+        let is_table = target == LinkTarget::Tables;
+        self.instance == inst.id
+            && self.is_table == is_table
+            && self.has_round
+            && !self.stale
+            && self.rounds_done > 0
+            && self
+                .pending
+                .as_ref()
+                .is_some_and(|q| q.instance == inst.id && q.is_table == is_table)
     }
 }
 
@@ -216,28 +247,52 @@ struct PendingFlag {
     query: FlagQuery,
 }
 
-/// The round state: round 0 may be borrowed from the caller
+/// A round's stream: round 0 may be borrowed from the caller
 /// ([`Round0`]); regenerated rounds are owned by the session (a parked
-/// session must not borrow its own history).
+/// session must not borrow its own history), boxed so the two variants
+/// stay the same size.
 #[derive(Debug)]
-enum SessionRound<'a> {
+enum Stream<'a> {
     Borrowed(Round0<'a>),
-    Owned(GenerationTrace, Vocab),
+    Owned(Box<(GenerationTrace, Vocab)>),
 }
 
-impl SessionRound<'_> {
+/// One correction round: the stream plus, on the incremental path, the
+/// prediction sets its monitoring pass computed. The sets are kept only
+/// once the session suspends on the round (an unflagged round never
+/// copies them out of the scratch): a `Continue` re-merges them as they
+/// are, and a `Pin` hands them, with the stream, to the next round as
+/// its reuse source.
+#[derive(Debug)]
+struct SessionRound<'a> {
+    stream: Stream<'a>,
+    sets: Option<PredictionSets>,
+}
+
+impl<'a> SessionRound<'a> {
     fn trace(&self) -> &GenerationTrace {
-        match self {
-            SessionRound::Borrowed(r) => r.trace,
-            SessionRound::Owned(t, _) => t,
+        match &self.stream {
+            Stream::Borrowed(r) => r.trace,
+            Stream::Owned(r) => &r.0,
         }
     }
 
     fn vocab(&self) -> &Vocab {
-        match self {
-            SessionRound::Borrowed(r) => r.vocab,
-            SessionRound::Owned(_, v) => v,
+        match &self.stream {
+            Stream::Borrowed(r) => r.vocab,
+            Stream::Owned(r) => &r.1,
         }
+    }
+
+    /// The round as the next round's reuse source: its trace (moved
+    /// when owned, so matching hidden stacks are taken over without a
+    /// copy) and its prediction sets.
+    fn into_reuse(self) -> (ReuseSource<'a>, Option<PredictionSets>) {
+        let source = match self.stream {
+            Stream::Borrowed(r) => ReuseSource::Borrowed(r.trace),
+            Stream::Owned(r) => ReuseSource::Owned(r.0),
+        };
+        (source, self.sets)
     }
 }
 
@@ -250,10 +305,10 @@ impl SessionRound<'_> {
 /// which ignores any provided context exactly like the monolith does.
 ///
 /// The session owns everything the loop accumulated (current round's
-/// trace + vocabulary, overrides, handled set, merge RNG, flag/
-/// intervention counters); scratch buffers stay caller-owned and are
-/// passed into [`LinkSession::step`], so a parked session holds only
-/// state, not scratch.
+/// trace + vocabulary + prediction sets, overrides, handled set, merge
+/// RNG, flag/intervention counters); scratch buffers stay caller-owned
+/// and are passed into [`LinkSession::step`], so a parked session holds
+/// only state, not scratch.
 #[derive(Debug)]
 pub struct LinkSession<'a> {
     model: Handle<'a, SchemaLinker>,
@@ -267,6 +322,10 @@ pub struct LinkSession<'a> {
     gold_set: Vec<String>,
     rng: tinynn::rng::SplitMix64,
     monitor_layers: simlm::LayerSet,
+    /// Are correction rounds incremental? Off under the
+    /// `reference_linking` and `per_token_monitoring` oracles, which
+    /// regenerate and re-monitor every round from scratch.
+    incremental: bool,
     max_rounds: usize,
     would_be_correct: Option<bool>,
     overrides: HashMap<String, Decision>,
@@ -354,13 +413,17 @@ impl<'a> LinkSession<'a> {
             gold_set,
             rng,
             monitor_layers,
+            incremental: !config.reference_linking && !config.per_token_monitoring,
             max_rounds,
             would_be_correct: None,
             overrides: HashMap::new(),
             handled: HashSet::new(),
             n_interventions: 0,
             n_flags: 0,
-            cur: round0.map(SessionRound::Borrowed),
+            cur: round0.map(|r| SessionRound {
+                stream: Stream::Borrowed(r),
+                sets: None,
+            }),
             stale: false,
             rounds_done: 0,
             pending: None,
@@ -390,13 +453,16 @@ impl<'a> LinkSession<'a> {
 
     /// Bytes of generation state the session holds while parked —
     /// dominated by the current round's synthesized hidden-state
-    /// stacks. What a serving engine bills a suspended request for.
+    /// stacks, plus its tokens and prediction sets. What a serving
+    /// engine bills a suspended request for.
     pub fn held_bytes(&self) -> usize {
         self.cur
             .as_ref()
             .map(|r| {
                 let t = r.trace();
-                t.hidden_bytes() + std::mem::size_of_val(t.tokens.as_slice())
+                t.hidden_bytes()
+                    + std::mem::size_of_val(t.tokens.as_slice())
+                    + r.sets.as_ref().map_or(0, PredictionSets::heap_bytes)
             })
             .unwrap_or(0)
     }
@@ -442,10 +508,14 @@ impl<'a> LinkSession<'a> {
     /// construction arguments come back from the caller (the serving
     /// engine keeps them per ticket), the recorded state is restored
     /// verbatim, and the current round — evicted at checkpoint time —
-    /// is re-synthesized from the restored override map. Bit-identical
+    /// is re-synthesized from the restored override map, with its
+    /// prediction sets re-probed on the incremental path. Bit-identical
     /// to a session that was never checkpointed: same pending query,
     /// same `held_bytes`, same flags/RNG/outcomes downstream (pinned by
-    /// the checkpoint-roundtrip parity proptest).
+    /// the checkpoint-roundtrip parity proptest). A checkpoint without
+    /// a round (`has_round` false, as the engine restores one it is
+    /// about to pin) restores no reuse source: the next round is
+    /// synthesized whole.
     ///
     /// Panics when the checkpoint does not belong to `(inst, target)`.
     #[allow(clippy::too_many_arguments)] // mirrors LinkSession::new
@@ -514,7 +584,9 @@ impl<'a> LinkSession<'a> {
         if cp.has_round {
             // Re-synthesize the evicted round: generation is
             // deterministic in (instance, overrides, layer set), so the
-            // trace and vocabulary come back bit-identical.
+            // trace and vocabulary come back bit-identical, and so do
+            // the prediction sets a suspended incremental round keeps
+            // (a pure function of the trace).
             let mut vocab = Vocab::new();
             let trace = session.model.generate_with_overrides_and_layers(
                 &session.inst,
@@ -525,7 +597,15 @@ impl<'a> LinkSession<'a> {
                 &session.monitor_layers,
                 synth,
             );
-            session.cur = Some(SessionRound::Owned(trace, vocab));
+            let sets = session.incremental.then(|| {
+                let mut bpp = BppScratch::default();
+                session.mbpp.predict_sets(&trace, None, &mut bpp);
+                bpp.sets().clone()
+            });
+            session.cur = Some(SessionRound {
+                stream: Stream::Owned(Box::new((trace, vocab))),
+                sets,
+            });
         }
         session.pending = cp.pending.clone().map(|query| PendingFlag { query });
         session
@@ -599,28 +679,44 @@ impl<'a> LinkSession<'a> {
             return self.finish(outcome);
         }
         self.rounds_done += 1;
-        let regenerate = match &self.cur {
-            None => true,
-            Some(_) => self.stale || self.config.reference_linking,
-        };
-        let round = if regenerate {
-            // Free the superseded round before synthesizing its
-            // replacement; otherwise both traces are live at once.
-            self.cur = None;
-            let mut vocab = Vocab::new();
-            let trace = self.model.generate_with_overrides_and_layers(
-                &self.inst,
-                &mut vocab,
-                self.target,
-                GenMode::Free,
-                &self.overrides,
-                &self.monitor_layers,
-                &mut scratch.synth,
-            );
-            self.stale = false;
-            SessionRound::Owned(trace, vocab)
-        } else {
-            self.cur.take().expect("round state populated")
+        // The superseded round's prediction sets, when this round is
+        // regenerated from it incrementally.
+        let mut prev_sets: Option<PredictionSets> = None;
+        let mut round = match self.cur.take() {
+            Some(round) if !self.stale && !self.config.reference_linking => round,
+            prev => {
+                // Regenerate. On the incremental path the superseded
+                // round is the reuse source: every position whose
+                // synthesis key the pin left unchanged takes over its
+                // hidden stack, and below its prediction sets. The
+                // oracles regenerate from scratch and free the
+                // superseded round first, so two traces are never live
+                // at once.
+                let reuse = match prev.filter(|_| self.incremental) {
+                    Some(prev) => {
+                        let (source, sets) = prev.into_reuse();
+                        prev_sets = sets;
+                        Some(source)
+                    }
+                    None => None,
+                };
+                let mut vocab = Vocab::new();
+                let trace = self.model.generate_reusing(
+                    &self.inst,
+                    &mut vocab,
+                    self.target,
+                    GenMode::Free,
+                    &self.overrides,
+                    &self.monitor_layers,
+                    &mut scratch.synth,
+                    reuse,
+                );
+                self.stale = false;
+                SessionRound {
+                    stream: Stream::Owned(Box::new((trace, vocab))),
+                    sets: None,
+                }
+            }
         };
         let trace = round.trace();
         if self.would_be_correct.is_none() {
@@ -629,9 +725,17 @@ impl<'a> LinkSession<'a> {
         }
         let flags = if self.config.per_token_monitoring {
             self.mbpp.flag_trace_per_token(trace, &mut self.rng)
+        } else if let Some(sets) = &round.sets {
+            // A `Continue` left the stream, and so its sets, unchanged:
+            // only the merge runs (the merge RNG has advanced, so the
+            // flags may differ from the last round's).
+            self.mbpp.merge_sets(sets, &mut self.rng)
         } else {
+            // Probe only the positions without reusable sets, then
+            // merge every position in order.
             self.mbpp
-                .flag_trace_with_scratch(trace, &mut self.rng, &mut scratch.bpp)
+                .predict_sets(trace, prev_sets.as_ref(), &mut scratch.bpp);
+            self.mbpp.merge_sets(scratch.bpp.sets(), &mut self.rng)
         };
 
         // First actionable flag: one raised on a not-yet-handled
@@ -690,6 +794,10 @@ impl<'a> LinkSession<'a> {
             implicated,
             predicted: trace.predicted.clone(),
         };
+        if self.incremental && round.sets.is_none() {
+            // Keep the sets with the suspended round.
+            round.sets = Some(scratch.bpp.sets().clone());
+        }
         self.cur = Some(round);
         self.pending = Some(PendingFlag {
             query: query.clone(),
@@ -729,12 +837,16 @@ impl<'a> LinkSession<'a> {
                 self.handled.insert(pending.query.element_idx);
                 self.overrides.insert(pending.query.gold_element, decision);
                 // The pinned decision changes the stream: regenerate.
-                // The now-stale round is dead weight — free its hidden
-                // stacks here rather than carrying them to the next
-                // `step` (a resolved-but-not-yet-scheduled serving
-                // ticket would otherwise park megabytes for nothing).
+                // The now-stale round is handed to the next `step` as
+                // its reuse source — wherever the pin left a position's
+                // synthesis key unchanged, its hidden stack and
+                // prediction sets carry over instead of being
+                // synthesized and probed again. The oracles regenerate
+                // from scratch, so they free it here.
                 self.stale = true;
-                self.cur = None;
+                if !self.incremental {
+                    self.cur = None;
+                }
             }
         }
     }
@@ -1038,6 +1150,131 @@ mod tests {
             );
         }
         assert!(exercised > 0, "no session ever suspended at this scale");
+    }
+
+    /// Counters of generation and probing work done through `scratch`.
+    fn work(scratch: &LinkScratch) -> (u64, u64, u64) {
+        (
+            scratch.synth.rows_synthesized(),
+            scratch.synth.rows_reused(),
+            scratch.bpp.probed_rows(),
+        )
+    }
+
+    #[test]
+    fn confirming_a_correct_element_synthesizes_and_probes_nothing() {
+        let fx = fixture();
+        let config = RtsConfig::default();
+        let mut scratch = LinkScratch::default();
+        let mut exercised = 0usize;
+        for inst in fx.bench.split.dev.iter().take(60) {
+            let meta = fx.bench.meta(&inst.db_name).unwrap();
+            let ctx = fx.contexts.get(&inst.db_name, LinkTarget::Tables);
+            let mut session = LinkSession::new(
+                &fx.model,
+                &fx.mbpp,
+                inst,
+                meta,
+                LinkTarget::Tables,
+                Some(CtxHandle::Borrowed(ctx)),
+                None,
+                &config,
+            );
+            let SessionState::NeedsFeedback(q) = session.step(&mut scratch) else {
+                continue;
+            };
+            let n = session.cur.as_ref().unwrap().trace().steps.len() as u64;
+            let decided = &session.cur.as_ref().unwrap().trace().decisions[q.element_idx];
+            if *decided != Decision::Correct {
+                continue;
+            }
+            // A false alarm on an element the model already had right:
+            // the pin confirms it, and the next round is the same
+            // stream, taken over whole.
+            exercised += 1;
+            let (synth0, reused0, probed0) = work(&scratch);
+            session.resolve(FlagResolution::Pin(Decision::Correct));
+            let _ = session.step(&mut scratch);
+            let (synth1, reused1, probed1) = work(&scratch);
+            assert_eq!(synth1 - synth0, 0, "instance {}", inst.id);
+            assert_eq!(reused1 - reused0, n, "instance {}", inst.id);
+            assert_eq!(probed1 - probed0, 0, "instance {}", inst.id);
+        }
+        assert!(
+            exercised > 0,
+            "no false alarm on a correct element at this scale"
+        );
+    }
+
+    #[test]
+    fn a_pin_synthesizes_and_probes_only_positions_whose_key_changed() {
+        let fx = fixture();
+        let config = RtsConfig::default();
+        let mut scratch = LinkScratch::default();
+        let oracle = HumanOracle::new(Expertise::Expert, 5);
+        let policy = MitigationPolicy::Human(&oracle);
+        let (mut exercised, mut partial) = (0usize, 0usize);
+        for inst in fx.bench.split.dev.iter().take(60) {
+            let meta = fx.bench.meta(&inst.db_name).unwrap();
+            let ctx = fx.contexts.get(&inst.db_name, LinkTarget::Tables);
+            let mut session = LinkSession::new(
+                &fx.model,
+                &fx.mbpp,
+                inst,
+                meta,
+                LinkTarget::Tables,
+                Some(CtxHandle::Borrowed(ctx)),
+                None,
+                &config,
+            );
+            while let SessionState::NeedsFeedback(q) = session.step(&mut scratch) {
+                let resolution = resolve_flag(&policy, inst, &q);
+                let FlagResolution::Pin(decision) = &resolution else {
+                    session.resolve(resolution);
+                    continue;
+                };
+                let old = session.cur.as_ref().unwrap().trace().clone();
+                let mut overrides = session.overrides.clone();
+                overrides.insert(q.gold_element.clone(), decision.clone());
+                let fresh = fx.model.generate_with_overrides_and_layers(
+                    inst,
+                    &mut Vocab::new(),
+                    LinkTarget::Tables,
+                    GenMode::Free,
+                    &overrides,
+                    &session.monitor_layers,
+                    &mut simlm::SynthScratch::default(),
+                );
+                // Same token id at the same position and bit-identical
+                // stacks ⇔ same synthesis key (the stack is a pure
+                // function of it, and any change of id or risk signal
+                // moves every synthesized value).
+                let changed = (0..fresh.steps.len())
+                    .filter(|&p| {
+                        p >= old.steps.len()
+                            || old.tokens[p] != fresh.tokens[p]
+                            || old.steps[p].hidden != fresh.steps[p].hidden
+                    })
+                    .count() as u64;
+                let (synth0, reused0, probed0) = work(&scratch);
+                session.resolve(resolution);
+                let _ = session.step(&mut scratch);
+                let (synth1, reused1, probed1) = work(&scratch);
+                assert_eq!(synth1 - synth0, changed, "instance {}", inst.id);
+                assert_eq!(
+                    reused1 - reused0,
+                    fresh.steps.len() as u64 - changed,
+                    "instance {}",
+                    inst.id
+                );
+                assert_eq!(probed1 - probed0, changed, "instance {}", inst.id);
+                exercised += 1;
+                partial += usize::from(changed > 0 && changed < fresh.steps.len() as u64);
+                break;
+            }
+        }
+        assert!(exercised > 0, "no pin at this scale");
+        assert!(partial > 0, "no pin left part of the stream unchanged");
     }
 
     #[test]

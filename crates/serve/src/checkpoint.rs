@@ -1,5 +1,5 @@
 //! Parked-session checkpointing: the byte codec and the engine's
-//! eviction policy helpers.
+//! restore path.
 //!
 //! A parked session's memory is dominated by its current round's
 //! synthesized hidden-state stacks (tens of kilobytes per request —
@@ -10,7 +10,12 @@
 //! re-synthesizes the round bit-identically on a worker thread when
 //! the feedback finally arrives (or times out).
 
-use rts_core::session::SessionCheckpoint;
+use benchgen::schemagen::DbMeta;
+use benchgen::Instance;
+use rts_core::abstention::RtsConfig;
+use rts_core::bpp::Mbpp;
+use rts_core::session::{CtxHandle, FlagResolution, Handle, LinkSession, SessionCheckpoint};
+use simlm::{LinkTarget, SchemaLinker, SynthScratch};
 
 /// Serialize a checkpoint through the serde shim into an owned byte
 /// buffer (UTF-8 JSON — self-describing, deterministic: override and
@@ -52,6 +57,44 @@ pub fn decode(bytes: &[u8]) -> SessionCheckpoint {
     // rts-allow(panic): documented panic-on-corruption helper for
     // tests and offline tooling; the engine itself uses try_decode.
     try_decode(bytes).expect("checkpoint bytes parse")
+}
+
+/// Rebuild a parked session from its checkpoint and re-apply the
+/// `resolution` that woke it — the engine's restore path, for decoded
+/// checkpoints and the in-memory salvage copy alike. When the
+/// resolution discards the parked round anyway (an abstention finishes
+/// the session without reading it; a pin regenerates the stream), the
+/// round is not re-synthesized: only a `Continue` re-reads it.
+///
+/// `cp` must satisfy [`SessionCheckpoint::matches`] for `(inst,
+/// target)`; the engine checks that on every decoded checkpoint and
+/// degrades the ticket when it fails.
+#[allow(clippy::too_many_arguments)] // LinkSession::restore_in plus the resolution
+pub fn restore<'a>(
+    model: Handle<'a, SchemaLinker>,
+    mbpp: Handle<'a, Mbpp>,
+    inst: Handle<'a, Instance>,
+    meta: Handle<'a, DbMeta>,
+    target: LinkTarget,
+    ctx: Option<CtxHandle<'a>>,
+    rts: &RtsConfig,
+    cp: &SessionCheckpoint,
+    resolution: Option<&FlagResolution>,
+    synth: &mut SynthScratch,
+) -> LinkSession<'a> {
+    let mut cp = cp.clone();
+    if matches!(
+        resolution,
+        Some(FlagResolution::Abstain { .. } | FlagResolution::Pin(_))
+    ) {
+        cp.has_round = false;
+    }
+    let mut session =
+        LinkSession::restore_in(model, mbpp, inst, meta, target, ctx, rts, &cp, synth);
+    if let Some(res) = resolution {
+        session.resolve(res.clone());
+    }
+    session
 }
 
 #[cfg(test)]

@@ -993,13 +993,8 @@ impl Shard {
     }
 
     /// Rebuild a session from a checkpoint recipe and re-apply
-    /// `resolution`, re-synthesizing the evicted round bit-identically
-    /// (generation is deterministic in instance + overrides). Shared by
-    /// the checkpoint-restore and panic-salvage paths. When the
-    /// resolution discards the round anyway (an abstention finishes the
-    /// session without reading it; a pin marks the stream stale and
-    /// regenerates), the synthesis is skipped — only a `Continue`
-    /// actually re-reads the parked round.
+    /// `resolution` ([`checkpoint::restore`]). Shared by the
+    /// checkpoint-restore and panic-salvage paths.
     fn rebuild_session(
         &self,
         inst: &Arc<Instance>,
@@ -1009,18 +1004,11 @@ impl Shard {
         resolution: &Option<FlagResolution>,
         scratch: &mut LinkScratch,
     ) -> LinkSession<'static> {
-        let mut cp = cp.clone();
-        if matches!(
-            resolution,
-            Some(FlagResolution::Abstain { .. } | FlagResolution::Pin(_))
-        ) {
-            cp.has_round = false;
-        }
         let mbpp = match stage {
             LinkTarget::Tables => &self.mbpp_tables,
             LinkTarget::Columns => &self.mbpp_columns,
         };
-        let mut session = LinkSession::restore_in(
+        checkpoint::restore(
             Handle::Shared(self.model.clone()),
             Handle::Shared(mbpp.clone()),
             Handle::Shared(inst.clone()),
@@ -1028,13 +1016,10 @@ impl Shard {
             stage,
             self.session_ctx(meta, stage),
             &self.config.rts,
-            &cp,
+            cp,
+            resolution.as_ref(),
             &mut scratch.synth,
-        );
-        if let Some(res) = resolution {
-            session.resolve(res.clone());
-        }
-        session
+        )
     }
 
     /// The abstention every shed stage degrades to.

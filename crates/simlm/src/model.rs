@@ -317,6 +317,26 @@ pub struct StepTrace {
     /// Index of the gold element this token belongs to (None for
     /// header/separator tokens).
     pub element_idx: Option<usize>,
+    /// Bits of the latent risk signal `s` the hidden stack was
+    /// synthesized from. With the position and the token id it is the
+    /// whole per-position input of hidden-state synthesis, so it keys
+    /// reuse ([`SchemaLinker::generate_reusing`]). Private: probes must
+    /// learn the risk direction, never read it.
+    risk: u64,
+    /// Was `hidden` taken over from a reuse source instead of
+    /// synthesized?
+    reused: bool,
+}
+
+impl StepTrace {
+    /// Was this position's hidden stack taken over from the reuse
+    /// source of [`SchemaLinker::generate_reusing`] rather than
+    /// synthesized? Such a stack is bit-identical to the source's stack
+    /// at the same position, so anything computed from that stack alone
+    /// (the mBPP's per-probe prediction sets) carries over too.
+    pub fn is_reused(&self) -> bool {
+        self.reused
+    }
 }
 
 /// A full generation.
@@ -330,6 +350,64 @@ pub struct GenerationTrace {
     /// Per-gold-element decisions (parallel to the gold element list).
     pub decisions: Vec<Decision>,
     pub n_branches: usize,
+    /// What every hidden stack of the trace was synthesized under,
+    /// besides its per-position key.
+    origin: SynthOrigin,
+}
+
+/// The inputs of hidden-state synthesis that are fixed for a whole
+/// trace: the model (its seed and shape fix the layer gains and
+/// directions), the instance, the link target and the layer set. Two
+/// traces' stacks are interchangeable at a position only when their
+/// origins are equal and the position's key (token id, risk bits)
+/// matches.
+#[derive(Debug, Clone, PartialEq)]
+struct SynthOrigin {
+    model: (u64, usize, usize),
+    instance: u64,
+    target: LinkTarget,
+    layers: LayerSet,
+}
+
+/// A previous round offered to [`SchemaLinker::generate_reusing`].
+#[derive(Debug)]
+pub enum ReuseSource<'a> {
+    /// A round the caller is done with: matching stacks are moved out
+    /// and the rest is dropped as generation passes it.
+    Owned(GenerationTrace),
+    /// A round the caller keeps (a caller-supplied round 0): matching
+    /// stacks are copied.
+    Borrowed(&'a GenerationTrace),
+}
+
+impl ReuseSource<'_> {
+    fn trace(&self) -> &GenerationTrace {
+        match self {
+            ReuseSource::Owned(t) => t,
+            ReuseSource::Borrowed(t) => t,
+        }
+    }
+}
+
+/// A reuse source walked in lockstep with generation: one
+/// [`PrevSteps::take`] per generated position, so a stack is only ever
+/// offered to the position it was synthesized for.
+enum PrevSteps<'a> {
+    None,
+    Owned(std::vec::IntoIter<StepTrace>),
+    Borrowed(std::slice::Iter<'a, StepTrace>),
+}
+
+impl PrevSteps<'_> {
+    /// The source's stack at the next position, if its key matches.
+    fn take(&mut self, tok: TokenId, risk: u64) -> Option<HiddenStack> {
+        let hit = |s: &StepTrace| s.token == tok && s.risk == risk;
+        match self {
+            PrevSteps::None => None,
+            PrevSteps::Owned(it) => it.next().filter(|s| hit(s)).map(|s| s.hidden),
+            PrevSteps::Borrowed(it) => it.next().filter(|s| hit(s)).map(|s| s.hidden.clone()),
+        }
+    }
 }
 
 impl GenerationTrace {
@@ -622,6 +700,47 @@ impl SchemaLinker {
         layers: &LayerSet,
         scratch: &mut SynthScratch,
     ) -> GenerationTrace {
+        self.generate_reusing(inst, vocab, target, mode, overrides, layers, scratch, None)
+    }
+
+    /// [`SchemaLinker::generate_with_overrides_and_layers`] taking a
+    /// previous round as a reuse source: a position's hidden stack is
+    /// taken over from `reuse` instead of synthesized when its full
+    /// synthesis key matches the source's at the same position. The key
+    /// is the position, the numeric token id and the bits of the latent
+    /// risk signal `s` — exactly what the hidden-state synthesis reads
+    /// per position — and the source must come from the same model,
+    /// instance, target and layer set (checked: a source from anywhere
+    /// else reuses nothing). The result is bit-identical to generating
+    /// without a source; only the synthesis work differs
+    /// ([`SynthScratch::rows_synthesized`] / [`SynthScratch::rows_reused`]
+    /// count it, and [`StepTrace::is_reused`] marks the positions taken
+    /// over).
+    #[allow(clippy::too_many_arguments)] // the fully-explicit entry point plus its source
+    pub fn generate_reusing(
+        &self,
+        inst: &Instance,
+        vocab: &mut Vocab,
+        target: LinkTarget,
+        mode: GenMode,
+        overrides: &HashMap<String, Decision>,
+        layers: &LayerSet,
+        scratch: &mut SynthScratch,
+        reuse: Option<ReuseSource<'_>>,
+    ) -> GenerationTrace {
+        let origin = SynthOrigin {
+            model: (self.seed, self.n_layers, self.hidden_dim),
+            instance: inst.id,
+            target,
+            layers: layers.clone(),
+        };
+        let mut prev = match reuse {
+            Some(src) if src.trace().origin == origin => match src {
+                ReuseSource::Owned(t) => PrevSteps::Owned(t.steps.into_iter()),
+                ReuseSource::Borrowed(t) => PrevSteps::Borrowed(t.steps.iter()),
+            },
+            _ => PrevSteps::None,
+        };
         let gold = Self::gold_elements(inst, target);
         let n = gold.len();
         let decisions: Vec<Decision> = gold
@@ -938,7 +1057,18 @@ impl SchemaLinker {
                     (1.0 - 0.008 * srng.next_gaussian().abs()).clamp(0.9, 0.99995)
                 };
 
-                let hidden = self.hidden_states_for(inst, pos, tok, s, layers, scratch);
+                let risk = s.to_bits();
+                let (hidden, reused) = match prev.take(tok, risk) {
+                    Some(hidden) => {
+                        scratch.rows_reused += 1;
+                        (hidden, true)
+                    }
+                    None => {
+                        scratch.rows_synthesized += 1;
+                        let hidden = self.hidden_states_for(inst, pos, tok, s, layers, scratch);
+                        (hidden, false)
+                    }
+                };
                 tokens.push(tok);
                 steps.push(StepTrace {
                     token: tok,
@@ -946,6 +1076,8 @@ impl SchemaLinker {
                     hidden,
                     is_branch,
                     element_idx: step_element,
+                    risk,
+                    reused,
                 });
                 pos += 1;
             }
@@ -957,6 +1089,7 @@ impl SchemaLinker {
             predicted,
             decisions,
             n_branches,
+            origin,
         }
     }
 
@@ -1078,6 +1211,7 @@ impl SchemaLinker {
         let SynthScratch {
             shared_base,
             layer_row,
+            ..
         } = scratch;
         shared_base.resize(dim, 0.0);
         shared_rng.fill_gaussian(shared_base);
@@ -1223,10 +1357,31 @@ impl SeqGaussian {
 /// per trace (or per worker thread) keeps steady-state synthesis free
 /// of the per-token allocations the old path paid, mirroring how
 /// `BppScratch` amortises the monitoring path.
+///
+/// It also counts generation work: positions whose hidden stack was
+/// synthesized and positions whose stack was taken over from a reuse
+/// source ([`SchemaLinker::generate_reusing`]). The counters are for
+/// tests and never reach a report.
 #[derive(Debug, Default, Clone)]
 pub struct SynthScratch {
     shared_base: Vec<f64>,
     layer_row: Vec<f64>,
+    rows_synthesized: u64,
+    rows_reused: u64,
+}
+
+impl SynthScratch {
+    /// Positions whose hidden stack generation has synthesized through
+    /// this scratch.
+    pub fn rows_synthesized(&self) -> u64 {
+        self.rows_synthesized
+    }
+
+    /// Positions whose hidden stack generation has taken over from a
+    /// reuse source through this scratch.
+    pub fn rows_reused(&self) -> u64 {
+        self.rows_reused
+    }
 }
 
 /// Seed bytes for the per-token shared-content stream — the same byte

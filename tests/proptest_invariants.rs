@@ -137,7 +137,7 @@ mod parity {
         run_rts_linking, run_rts_linking_from, run_rts_linking_in, run_rts_linking_monolithic,
         LinkScratch, MitigationPolicy, Round0, RtsConfig,
     };
-    use rts::core::bpp::{Mbpp, MbppConfig, ProbeConfig};
+    use rts::core::bpp::{BppScratch, Mbpp, MbppConfig, ProbeConfig};
     use rts::core::branching::BranchDataset;
     use rts::core::context::{implicated_elements_reference, LinkContexts};
     use rts::core::human::{Expertise, HumanOracle};
@@ -151,8 +151,10 @@ mod parity {
         drive_closed_loop, Engine, FaultPlan, ServeConfig, ServeOutcome, ShardedEngine,
     };
     use rts::simlm::{
-        CorpusVersion, GenMode, LayerSet, LinkTarget, SchemaLinker, SynthScratch, Vocab,
+        CorpusVersion, Decision, GenMode, GenerationTrace, LayerSet, LinkTarget, ReuseSource,
+        SchemaLinker, SynthScratch, Vocab,
     };
+    use std::collections::HashMap;
     use std::sync::OnceLock;
 
     struct Fx {
@@ -207,6 +209,60 @@ mod parity {
             _ => {}
         }
         config
+    }
+
+    /// Two traces are the same stream bit for bit: tokens, decisions,
+    /// softmax bits, branch labels, element attribution and every
+    /// synthesized hidden value.
+    fn same_trace(a: &GenerationTrace, b: &GenerationTrace) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&a.tokens, &b.tokens);
+        prop_assert_eq!(&a.decisions, &b.decisions);
+        prop_assert_eq!(&a.predicted, &b.predicted);
+        prop_assert_eq!(a.steps.len(), b.steps.len());
+        for (t, (x, y)) in a.steps.iter().zip(&b.steps).enumerate() {
+            prop_assert_eq!(
+                x.softmax_prob.to_bits(),
+                y.softmax_prob.to_bits(),
+                "position {}",
+                t
+            );
+            prop_assert_eq!(x.is_branch, y.is_branch, "position {}", t);
+            prop_assert_eq!(x.element_idx, y.element_idx, "position {}", t);
+            prop_assert_eq!(x.hidden.len(), y.hidden.len(), "position {}", t);
+            for j in x.hidden.layer_indices() {
+                prop_assert!(y.hidden.has_layer(j), "position {} layer {}", t, j);
+                let l: Vec<u32> = x.hidden.layer(j).iter().map(|v| v.to_bits()).collect();
+                let r: Vec<u32> = y.hidden.layer(j).iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(l, r, "position {} layer {}", t, j);
+            }
+        }
+        Ok(())
+    }
+
+    /// The pin a random draw makes on `inst`: a random gold element
+    /// confirmed, or substituted by one of its confusables of the
+    /// matching kind (confirmed when it has none).
+    fn random_pin(inst: &Instance, target: LinkTarget, draw: u64) -> Option<(String, Decision)> {
+        let gold = SchemaLinker::gold_elements(inst, target);
+        if gold.is_empty() {
+            return None;
+        }
+        let element = gold[(draw % gold.len() as u64) as usize].clone();
+        let is_table = target == LinkTarget::Tables;
+        let confusables: Vec<String> = inst
+            .links
+            .iter()
+            .filter(|l| l.element.to_string() == element)
+            .flat_map(|l| l.confusables.iter())
+            .filter(|c| c.alt.is_table() == is_table)
+            .map(|c| c.alt.to_string())
+            .collect();
+        let decision = if draw >> 32 & 1 == 1 && !confusables.is_empty() {
+            Decision::Substitute(confusables[(draw >> 33) as usize % confusables.len()].clone())
+        } else {
+            Decision::Correct
+        };
+        Some((element, decision))
     }
 
     /// A linker generates the one live corpus, v2, whose tag perf
@@ -664,6 +720,91 @@ mod parity {
                         inst.id, target
                     );
                 }
+            }
+        }
+
+        /// An incremental correction round ≡ regenerating it from
+        /// scratch. Along a random pin sequence, every round built from
+        /// the previous round as a reuse source is bit-identical to a
+        /// fresh `generate_with_overrides_and_layers` (tokens, softmax
+        /// bits, branch labels, element attribution, every hidden bit),
+        /// and monitoring it — probing only the positions that were not
+        /// taken over, then merging every position — gives the flags,
+        /// the prediction sets and the merge-RNG state of a full
+        /// `flag_trace_with_scratch`. A round offered from another
+        /// instance, target or layer set reuses nothing.
+        #[test]
+        fn incremental_round_matches_fresh_generation(
+            pick in 0usize..1000,
+            columns in prop::bool::ANY,
+            seed in any::<u64>(),
+            pins in prop::collection::vec(any::<u64>(), 1..6),
+        ) {
+            let fx = fixture();
+            let dev = &fx.bench.split.dev;
+            let inst = &dev[pick % dev.len()];
+            let target = if columns { LinkTarget::Columns } else { LinkTarget::Tables };
+            let mbpp = if columns { &fx.mbpp_c } else { &fx.mbpp_t };
+            let layers = mbpp.layer_set();
+            let mut synth = SynthScratch::default();
+            let mut bpp = BppScratch::default();
+            let mut fresh_bpp = BppScratch::default();
+            let mut rng_inc = SplitMix64::new(seed);
+            let mut rng_fresh = SplitMix64::new(seed);
+            let mut overrides: HashMap<String, Decision> = HashMap::new();
+            let generate = |overrides: &HashMap<String, Decision>, synth: &mut SynthScratch| {
+                fx.model.generate_with_overrides_and_layers(
+                    inst, &mut Vocab::new(), target, GenMode::Free, overrides, &layers, synth,
+                )
+            };
+            let mut prev = generate(&overrides, &mut synth);
+            mbpp.predict_sets(&prev, None, &mut bpp);
+            let mut prev_sets = bpp.sets().clone();
+            for draw in pins {
+                let Some((element, decision)) = random_pin(inst, target, draw) else {
+                    break;
+                };
+                overrides.insert(element, decision);
+                let fresh = generate(&overrides, &mut SynthScratch::default());
+                let inc = fx.model.generate_reusing(
+                    inst, &mut Vocab::new(), target, GenMode::Free, &overrides, &layers,
+                    &mut synth, Some(ReuseSource::Owned(prev)),
+                );
+                same_trace(&inc, &fresh)?;
+                mbpp.predict_sets(&inc, Some(&prev_sets), &mut bpp);
+                let flags_inc = mbpp.merge_sets(bpp.sets(), &mut rng_inc);
+                let flags_fresh = mbpp.flag_trace_with_scratch(&fresh, &mut rng_fresh, &mut fresh_bpp);
+                prop_assert_eq!(bpp.sets(), fresh_bpp.sets());
+                prop_assert_eq!(flags_inc, flags_fresh);
+                prop_assert!(rng_inc == rng_fresh, "merge rng diverged");
+                prev_sets = bpp.sets().clone();
+                prev = inc;
+            }
+            // Sources a session never offers: a stack is reusable only
+            // under the same instance, target and layer set.
+            let other_target = if columns { LinkTarget::Tables } else { LinkTarget::Columns };
+            let other_inst = &dev[(pick + 1) % dev.len()];
+            let foreign = [
+                fx.model.generate_with_layers(
+                    other_inst, &mut Vocab::new(), target, GenMode::Free, &layers, &mut synth,
+                ),
+                fx.model.generate_with_layers(
+                    inst, &mut Vocab::new(), other_target, GenMode::Free, &layers, &mut synth,
+                ),
+                fx.model.generate_with_overrides_and_layers(
+                    inst, &mut Vocab::new(), target, GenMode::Free, &overrides,
+                    &LayerSet::all(), &mut synth,
+                ),
+            ];
+            let expected = generate(&overrides, &mut SynthScratch::default());
+            for source in &foreign {
+                let reused = synth.rows_reused();
+                let out = fx.model.generate_reusing(
+                    inst, &mut Vocab::new(), target, GenMode::Free, &overrides, &layers,
+                    &mut synth, Some(ReuseSource::Borrowed(source)),
+                );
+                prop_assert_eq!(synth.rows_reused(), reused, "a foreign round was reused");
+                same_trace(&out, &expected)?;
             }
         }
 
