@@ -6,10 +6,10 @@
 //!    pass), and its locks form an acquisition-order DAG with no guard
 //!    held across a foreign `Condvar::wait` (lock-discipline pass).
 //! 2. **Determinism**: the pinned crates (`core`, `simlm`, `tinynn`,
-//!    `conformal`, `nanosql`) compute outputs as pure functions of
-//!    seeds — no wall clock, thread identity, nondeterministic
-//!    hashing, pointer identity, or hash-order iteration
-//!    (determinism pass).
+//!    `conformal`, `nanosql`) and the bench crate's `openloop` and
+//!    `oracle` modules compute outputs as pure functions of seeds — no
+//!    wall clock, thread identity, nondeterministic hashing, pointer
+//!    identity, or hash-order iteration (determinism pass).
 //!
 //! A fourth pass guards the offline shim policy: no direct
 //! `std::sync::{Mutex,RwLock,Condvar}` outside the shims, and every
@@ -160,6 +160,12 @@ pub fn workspace_passes(rel: &str) -> PassSet {
     if rel == "crates/bench/src/openloop.rs" {
         p.determinism = true;
     }
+    // The parity oracles moved out of `core` into the bench crate;
+    // they are the references the pinned production path is compared
+    // against, so they stay determinism-pinned like `core` itself.
+    if rel == "crates/bench/src/oracle.rs" {
+        p.determinism = true;
+    }
     // The file that owns hidden-state synthesis: every direct
     // `next_gaussian` call there must be a stream outside the corpus
     // and say so via `rts-allow(corpus-shared)` — the hidden-state
@@ -273,10 +279,13 @@ mod tests {
         let openloop = workspace_passes("crates/bench/src/openloop.rs");
         assert!(openloop.determinism, "the arrival schedule is seed-pure");
         assert!(!openloop.panic, "the bench crate may assert freely");
+        let oracle = workspace_passes("crates/bench/src/oracle.rs");
+        assert!(oracle.determinism, "the parity oracles are seed-pure");
+        assert!(!oracle.panic, "the bench crate may assert freely");
         let bench = workspace_passes("crates/bench/src/serving.rs");
         assert!(
             !bench.determinism,
-            "only the openloop module is determinism-pinned in rts-bench"
+            "only the openloop and oracle modules are determinism-pinned in rts-bench"
         );
 
         assert_eq!(workspace_passes("README.md"), PassSet::default());

@@ -4,13 +4,16 @@
 
 use benchgen::BenchmarkProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
+use rts_bench::oracle::{
+    flag_trace_per_token, implicated_elements_reference, run_rts_linking_monolithic, Oracle,
+};
 use rts_core::abstention::{
     run_rts_linking, run_rts_linking_from, run_rts_linking_in, LinkScratch, MitigationPolicy,
     Round0, RtsConfig,
 };
 use rts_core::bpp::{BppScratch, Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
-use rts_core::context::{implicated_elements_reference, LinkContext};
+use rts_core::context::LinkContext;
 use rts_core::human::{Expertise, HumanOracle};
 use rts_core::pipeline::{measure_ex, run_full_pipeline, SchemaSource};
 use rts_core::sqlgen::{ProvidedSchema, SqlGenModel};
@@ -53,9 +56,9 @@ fn bench_policies(c: &mut Criterion) {
     let fx = setup();
     let oracle = HumanOracle::new(Expertise::Expert, 5);
     let config = RtsConfig::default();
-    let reference_config = RtsConfig {
-        reference_linking: true,
-        ..RtsConfig::default()
+    let reference_path = Oracle {
+        reference: true,
+        ..Oracle::default()
     };
     let inst = &fx.bench.split.dev[0];
     let meta = fx.bench.meta(&inst.db_name).unwrap();
@@ -119,14 +122,18 @@ fn bench_policies(c: &mut Criterion) {
     });
     group.bench_function("abstain_only_reference_path", |b| {
         b.iter(|| {
-            black_box(run_rts_linking(
+            black_box(run_rts_linking_monolithic(
                 &fx.linker,
                 &fx.mbpp,
                 inst,
                 meta,
                 LinkTarget::Tables,
+                None,
+                None,
                 &MitigationPolicy::AbstainOnly,
-                &reference_config,
+                &config,
+                reference_path,
+                &mut LinkScratch::default(),
             ))
         })
     });
@@ -278,7 +285,7 @@ fn bench_monitoring(c: &mut Criterion) {
             .generate(inst, &mut vocab, target, GenMode::TeacherForced);
         group.bench_function(format!("{tag}_per_token"), |b| {
             let mut rng = SplitMix64::new(7);
-            b.iter(|| black_box(fx.mbpp.flag_trace_per_token(&trace, &mut rng)))
+            b.iter(|| black_box(flag_trace_per_token(&fx.mbpp, &trace, &mut rng)))
         });
         group.bench_function(format!("{tag}_batched"), |b| {
             let mut rng = SplitMix64::new(7);
@@ -301,12 +308,8 @@ fn bench_monitoring(c: &mut Criterion) {
 fn bench_monitored_linking(c: &mut Criterion) {
     let fx = setup();
     let instances: Vec<benchgen::Instance> = fx.bench.split.dev.iter().take(32).cloned().collect();
-    let per_token_cfg = RtsConfig {
-        per_token_monitoring: true,
-        ..RtsConfig::default()
-    };
-    let batched_cfg = RtsConfig::default();
-    let link = |inst: &benchgen::Instance, cfg: &RtsConfig| {
+    let config = RtsConfig::default();
+    let link = |inst: &benchgen::Instance| {
         let meta = fx.bench.meta(&inst.db_name).unwrap();
         run_rts_linking(
             &fx.linker,
@@ -315,36 +318,41 @@ fn bench_monitored_linking(c: &mut Criterion) {
             meta,
             LinkTarget::Tables,
             &MitigationPolicy::AbstainOnly,
-            cfg,
+            &config,
+        )
+    };
+    // The per-token oracle, with a per-call context and scratch like
+    // `run_rts_linking`.
+    let per_token = Oracle {
+        per_token: true,
+        ..Oracle::default()
+    };
+    let link_per_token = |inst: &benchgen::Instance| {
+        let meta = fx.bench.meta(&inst.db_name).unwrap();
+        let ctx = LinkContext::new(meta, LinkTarget::Tables);
+        run_rts_linking_monolithic(
+            &fx.linker,
+            &fx.mbpp,
+            inst,
+            meta,
+            LinkTarget::Tables,
+            Some(&ctx),
+            None,
+            &MitigationPolicy::AbstainOnly,
+            &config,
+            per_token,
+            &mut LinkScratch::default(),
         )
     };
     let mut group = c.benchmark_group("rts/monitored_linking_per_instance_x32");
     group.bench_function("per_token_serial_baseline", |b| {
-        b.iter(|| {
-            black_box(
-                instances
-                    .iter()
-                    .map(|inst| link(inst, &per_token_cfg))
-                    .collect::<Vec<_>>(),
-            )
-        })
+        b.iter(|| black_box(instances.iter().map(link_per_token).collect::<Vec<_>>()))
     });
     group.bench_function("batched_serial", |b| {
-        b.iter(|| {
-            black_box(
-                instances
-                    .iter()
-                    .map(|inst| link(inst, &batched_cfg))
-                    .collect::<Vec<_>>(),
-            )
-        })
+        b.iter(|| black_box(instances.iter().map(link).collect::<Vec<_>>()))
     });
     group.bench_function("batched_parallel", |b| {
-        b.iter(|| {
-            black_box(rts_core::par::par_map(&instances, |inst| {
-                link(inst, &batched_cfg)
-            }))
-        })
+        b.iter(|| black_box(rts_core::par::par_map(&instances, link)))
     });
     group.finish();
 }

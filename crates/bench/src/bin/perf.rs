@@ -19,17 +19,21 @@
 //! the runtime when it must regenerate internally is kept as
 //! `linking_regen_baseline`, and the pre-context reference path
 //! (explicit counterfactual generation + clone-per-flag trie rebuild,
-//! `RtsConfig::reference_linking`) as `linking_reference_baseline` —
-//! the latter is the row comparable to the PR 2 "linking" record.
+//! the reference oracle of [`rts_bench::oracle`]) as
+//! `linking_reference_baseline` — the latter is the row comparable to
+//! the PR 2 "linking" record. Every `*_baseline` row times an oracle
+//! from that module or an eager full-stack generation.
 
+use rts_bench::oracle::{
+    flag_trace_per_token, implicated_elements_reference, run_rts_linking_monolithic, Oracle,
+};
 use rts_bench::report::PerfReport;
 use rts_core::abstention::{
-    run_rts_linking, run_rts_linking_from, run_rts_linking_in, LinkScratch, MitigationPolicy,
-    Round0, RtsConfig,
+    run_rts_linking_from, run_rts_linking_in, LinkScratch, MitigationPolicy, Round0, RtsConfig,
 };
 use rts_core::bpp::{BppScratch, Mbpp, MbppConfig, ProbeConfig};
 use rts_core::branching::BranchDataset;
-use rts_core::context::{implicated_elements_reference, LinkContexts};
+use rts_core::context::LinkContexts;
 use rts_core::par::{par_map, par_map_with, thread_count};
 use rts_core::sqlgen::{ProvidedSchema, SqlGenModel};
 use simlm::{GenMode, GenerationTrace, LinkTarget, SchemaLinker, SynthScratch, Vocab};
@@ -75,10 +79,9 @@ fn main() {
         seed,
         ..RtsConfig::default()
     };
-    let reference_config = RtsConfig {
-        seed,
-        reference_linking: true,
-        ..RtsConfig::default()
+    let reference_path = Oracle {
+        reference: true,
+        ..Oracle::default()
     };
 
     // Stage 0 — context_build: precompile every database's LinkContext
@@ -209,29 +212,28 @@ fn main() {
     perf.push_stage("linking_regen_baseline", t0.elapsed(), n);
 
     // … and the pre-context reference path: explicit counterfactual
-    // generation, fresh vocab + trie rebuild per flag. This row is the
-    // one comparable to the PR 2 "linking" record.
+    // generation, fresh vocab + trie rebuild per flag, per-call scratch.
+    // This row is the one comparable to the PR 2 "linking" record.
     let t0 = Instant::now();
     let outcomes_reference: Vec<(bool, bool)> = par_map(instances, |inst| {
         let meta = bench.meta(&inst.db_name).expect("meta");
-        let t = run_rts_linking(
-            &linker,
-            &mbpp_t,
-            inst,
-            meta,
-            LinkTarget::Tables,
-            &MitigationPolicy::AbstainOnly,
-            &reference_config,
-        );
-        let c = run_rts_linking(
-            &linker,
-            &mbpp_c,
-            inst,
-            meta,
-            LinkTarget::Columns,
-            &MitigationPolicy::AbstainOnly,
-            &reference_config,
-        );
+        let reference = |mbpp: &Mbpp, target: LinkTarget| {
+            run_rts_linking_monolithic(
+                &linker,
+                mbpp,
+                inst,
+                meta,
+                target,
+                None,
+                None,
+                &MitigationPolicy::AbstainOnly,
+                &config,
+                reference_path,
+                &mut LinkScratch::default(),
+            )
+        };
+        let t = reference(&mbpp_t, LinkTarget::Tables);
+        let c = reference(&mbpp_c, LinkTarget::Columns);
         (t.abstained, c.abstained)
     });
     perf.push_stage("linking_reference_baseline", t0.elapsed(), n);
@@ -257,7 +259,7 @@ fn main() {
     let mut warm_scratch = BppScratch::default();
     let mut warm_rng = SplitMix64::new(config.seed);
     let _ = mbpp_t.flag_trace_with_scratch(&traces[0].0 .0, &mut warm_rng, &mut warm_scratch);
-    let _ = mbpp_t.flag_trace_per_token(&traces[0].0 .0, &mut warm_rng);
+    let _ = flag_trace_per_token(&mbpp_t, &traces[0].0 .0, &mut warm_rng);
 
     // Stage 3 — monitoring: batched mBPP flagging of both traces (and
     // the per-token baseline as a diagnostic trajectory row). The
@@ -275,8 +277,8 @@ fn main() {
     let t0 = Instant::now();
     let flags_pt: Vec<usize> = par_map(&traces, |((t, _), (c, _))| {
         let mut rng = SplitMix64::new(config.seed);
-        let nt = mbpp_t.flag_trace_per_token(t, &mut rng);
-        let nc = mbpp_c.flag_trace_per_token(c, &mut rng);
+        let nt = flag_trace_per_token(&mbpp_t, t, &mut rng);
+        let nc = flag_trace_per_token(&mbpp_c, c, &mut rng);
         nt.iter().chain(nc.iter()).filter(|&&f| f).count()
     });
     perf.push_stage("monitoring_per_token_baseline", t0.elapsed(), n);

@@ -9,10 +9,14 @@
 //! (fraction of the full benchmark size, default 1.0 = the paper's
 //! 9428/1534-instance BIRD and 8659/1034/2147-instance Spider) and the
 //! seed by `RTS_SEED` (default 0xC0FFEE).
+//!
+//! [`oracle`] holds the slow twins of the production linking path that
+//! the parity tests and `*_baseline` timings compare against.
 
 pub mod context;
 pub mod experiments;
 pub mod openloop;
+pub mod oracle;
 pub mod report;
 pub mod serving;
 

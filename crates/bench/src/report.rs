@@ -219,7 +219,8 @@ pub struct FaultRecord {
     pub panics_to_abstention: u64,
     /// Corrupt checkpoints rebuilt from their in-memory salvage recipe.
     pub corrupt_checkpoints_recovered: u64,
-    /// Failed context builds that fell back to the context-free path.
+    /// Failed context-cache builds, each replaced by an uncached
+    /// context the session built for itself.
     pub context_build_fallbacks: u64,
     /// Client resolutions injected as lost / delayed in flight.
     pub feedback_lost: u64,

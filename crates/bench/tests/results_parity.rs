@@ -5,9 +5,8 @@
 //! The scale and seed are pinned to that recipe (0.02, 0xC0FFEE), not
 //! read from the environment: byte-identity is only defined against
 //! the exact workload the records were generated under. Worker count
-//! (`RTS_THREADS`) and the reference knobs (`RTS_REFERENCE`) may move
-//! latency, never bytes, so the CI parity matrix runs this test on
-//! every leg.
+//! (`RTS_THREADS`) may move latency, never bytes, so the CI parity job
+//! runs this test on both of its `RTS_THREADS ∈ {1, 4}` legs.
 
 use rts_bench::experiments::ablation::{
     ablation_conformal, ablation_layer_selection, ablation_merge_sets, ablation_probe_depth,

@@ -543,8 +543,9 @@ impl Mbpp {
     /// through one scaler transform and one MLP forward (amortising the
     /// matmul), and the resulting per-token prediction sets are merged
     /// exactly as the per-token loop would. Flags — and the permutation
-    /// merge's RNG consumption — are identical to
-    /// [`Mbpp::flag_trace_per_token`] (the parity proptest in
+    /// merge's RNG consumption — are identical to calling
+    /// [`Mbpp::is_branch`] token by token (the per-token oracle in
+    /// `rts_bench::oracle`; the parity proptest in
     /// `tests/proptest_invariants.rs` pins this).
     pub fn flag_trace(&self, trace: &GenerationTrace, rng: &mut SplitMix64) -> Vec<bool> {
         let mut scratch = BppScratch::default();
@@ -636,8 +637,8 @@ impl Mbpp {
     /// The RNG half of monitoring: merge every position's sets into its
     /// flag, in position order. Empty per-probe sets abstain and are
     /// dropped before the merge. Draws exactly what the per-token loop
-    /// draws, so the merge RNG stays in lock-step with
-    /// [`Mbpp::flag_trace_per_token`].
+    /// draws, so the merge RNG stays in lock-step with calling
+    /// [`Mbpp::is_branch`] token by token.
     pub fn merge_sets(&self, sets: &PredictionSets, rng: &mut SplitMix64) -> Vec<bool> {
         let mut voting: Vec<LabelSet> = Vec::with_capacity(sets.k);
         (0..sets.len())
@@ -646,17 +647,6 @@ impl Mbpp {
                 voting.extend(sets.row(t).iter().copied().filter(|s| !s.is_empty()));
                 self.merge_token_sets(&voting, rng)
             })
-            .collect()
-    }
-
-    /// The reference per-token monitoring loop: one scaler transform and
-    /// one MLP forward per (token, probe). Kept as the baseline the
-    /// batched path is benchmarked and parity-tested against.
-    pub fn flag_trace_per_token(&self, trace: &GenerationTrace, rng: &mut SplitMix64) -> Vec<bool> {
-        trace
-            .steps
-            .iter()
-            .map(|s| self.is_branch(&s.hidden, rng))
             .collect()
     }
 
@@ -844,41 +834,6 @@ mod tests {
             .sbpps
             .iter()
             .all(|s| s.auc <= mbpp.sbpps[best].auc + 1e-12));
-    }
-
-    #[test]
-    fn batched_flags_match_per_token_exactly() {
-        let (bench, model, ds) = setup();
-        for method in [
-            MergeMethod::RandomPermutation,
-            MergeMethod::MajorityVote { theta: 0.5 },
-        ] {
-            let cfg = MbppConfig {
-                method,
-                probe: ProbeConfig {
-                    epochs: 8,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let mbpp = Mbpp::train(&ds, &cfg);
-            let mut scratch = BppScratch::default();
-            let mut rng_batched = SplitMix64::new(41);
-            let mut rng_serial = SplitMix64::new(41);
-            for inst in bench.split.dev.iter().take(25) {
-                let mut vocab = Vocab::new();
-                let trace = model.generate(inst, &mut vocab, LinkTarget::Tables, GenMode::Free);
-                let batched = mbpp.flag_trace_with_scratch(&trace, &mut rng_batched, &mut scratch);
-                let serial = mbpp.flag_trace_per_token(&trace, &mut rng_serial);
-                assert_eq!(batched, serial, "flag divergence on instance {}", inst.id);
-                // RNG streams must stay in lock-step too.
-                assert_eq!(
-                    rng_batched, rng_serial,
-                    "rng divergence on instance {}",
-                    inst.id
-                );
-            }
-        }
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //! Re-keying generation onto the context's schema-order ids would
 //! change hidden states, hence mBPP flags, hence every committed
 //! `results/*.json`. The bit-identity contract (pinned by the
-//! `context_linking_matches_reference` parity proptests) therefore
+//! `context_linking_matches_reference` parity proptest) therefore
 //! fixes the boundary: generation keeps its own id space; the context
 //! owns everything downstream of the emitted *strings* — decode,
 //! trace back, and trie completion — where only names matter.
 //! [`LinkContext::implicated_elements`] bridges the two id spaces by
 //! translating the (short) trailing partial through token text.
 
-use crate::traceback::{column_trie_in, table_trie_in, trace_back_reference};
+use crate::traceback::{column_trie_in, table_trie_in};
 use benchgen::schemagen::DbMeta;
 use benchgen::Benchmark;
 use simlm::{LinkTarget, TokenId, Trie, Vocab};
@@ -88,8 +88,8 @@ impl LinkContext {
     /// at `branch_pos` of `tokens`, where `tokens` live in the
     /// generation vocabulary `gen_vocab`.
     ///
-    /// Identical to the clone-per-flag reference
-    /// ([`implicated_elements_reference`]) on every complete stream:
+    /// Identical to the clone-per-flag oracle in `rts_bench::oracle` on
+    /// every complete stream:
     /// decoding compares element *names*, which are id-space agnostic.
     /// Only when a truncated stream ends mid-element does the trie act,
     /// and then the partial's tokens are translated into the context id
@@ -112,26 +112,6 @@ impl LinkContext {
                 .map(|(_suffix, name)| name.to_string())
         })
     }
-}
-
-/// The clone-per-flag reference for [`LinkContext::implicated_elements`]:
-/// clone the generation vocabulary, rebuild the candidate trie in its id
-/// space, and trace back by re-decoding the full prefix each step —
-/// exactly what every flag paid before the shared context existed. Kept
-/// for `RtsConfig::reference_linking` A/B runs and the parity tests.
-pub fn implicated_elements_reference(
-    gen_vocab: &Vocab,
-    meta: &DbMeta,
-    target: LinkTarget,
-    tokens: &[TokenId],
-    branch_pos: usize,
-) -> Vec<String> {
-    let mut v = gen_vocab.clone();
-    let trie = match target {
-        LinkTarget::Tables => table_trie_in(&mut v, meta),
-        LinkTarget::Columns => column_trie_in(&mut v, meta),
-    };
-    trace_back_reference(&v, &trie, tokens, branch_pos)
 }
 
 /// Registry of precompiled [`LinkContext`]s for a whole benchmark: one
@@ -424,49 +404,6 @@ mod tests {
                 assert_eq!(ctx_t.trie().complete(&ids), Some(t.name.as_str()));
             }
         }
-    }
-
-    #[test]
-    fn cached_trie_implicated_sets_match_clone_per_flag_reference() {
-        // The tentpole parity bar: on flagged dev generations the
-        // shared-context implicated set must equal the clone-per-flag
-        // reference element for element — across both targets and every
-        // branch position of the stream.
-        let bench = BenchmarkProfile::bird_like().scaled(0.02).generate(92);
-        let model = SchemaLinker::new("bird", 24);
-        let contexts = LinkContexts::build(&bench);
-        let mut flagged = 0usize;
-        for inst in bench.split.dev.iter() {
-            let meta = bench.meta(&inst.db_name).unwrap();
-            for target in [LinkTarget::Tables, LinkTarget::Columns] {
-                let mut vocab = Vocab::new();
-                let trace = model.generate(inst, &mut vocab, target, GenMode::Free);
-                let ctx = contexts.get(&inst.db_name, target);
-                for branch_pos in trace
-                    .steps
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.is_branch)
-                    .map(|(p, _)| p)
-                {
-                    let cached = ctx.implicated_elements(&vocab, &trace.tokens, branch_pos);
-                    let reference = implicated_elements_reference(
-                        &vocab,
-                        meta,
-                        target,
-                        &trace.tokens,
-                        branch_pos,
-                    );
-                    assert_eq!(
-                        cached, reference,
-                        "instance {} target {target:?} branch {branch_pos}",
-                        inst.id
-                    );
-                    flagged += 1;
-                }
-            }
-        }
-        assert!(flagged > 20, "too few flagged positions: {flagged}");
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! Bit-identity contract: driving a session with
 //! [`resolve_flag`]/[`drive_session`] reproduces the pre-session
 //! monolithic loop *exactly* — same flags, same merge-RNG stream, same
-//! interventions, same outcomes (the monolith is kept as
-//! [`crate::abstention::run_rts_linking_monolithic`] and pinned by the
-//! `session_linking_matches_monolithic_loop` parity proptest), so
-//! every committed `results/*.json` is unchanged by the refactor.
+//! interventions, same outcomes (the monolith is kept in
+//! `rts_bench::oracle`, and the session ≡ monolith parity proptest pins
+//! the session to it under every oracle setting), so every committed
+//! `results/*.json` is unchanged by the refactor.
 //!
 //! Correction rounds are incremental. A round is its trace, its
 //! vocabulary and — once the session suspends on it — the mBPP
@@ -33,10 +33,14 @@
 //! synthesized and probed. The merge ([`Mbpp::merge_sets`]) still runs
 //! over every position in order, so the RNG stream is untouched. A
 //! `Continue` leaves the stream unchanged and re-runs only the merge.
-//! The monolith and the `reference_linking` / `per_token_monitoring`
-//! oracles regenerate and re-monitor every round from scratch; the
-//! `incremental_round_matches_fresh_generation` parity proptest pins
-//! the incremental path to them.
+//! The oracles in `rts_bench::oracle` regenerate and re-monitor every
+//! round from scratch; the `incremental_round_matches_fresh_generation`
+//! parity proptest pins the incremental path to them.
+//!
+//! Every flag is traced back (Algorithm 2) through a [`LinkContext`]:
+//! the caller's shared one, or — when none is handed in, as after a
+//! failed context-cache build in the serving engine — an uncached one
+//! the session builds for itself. Outcomes are the same either way.
 
 use crate::abstention::{LinkScratch, MitigationPolicy, Round0, RtsConfig, RtsOutcome};
 use crate::bpp::{BppScratch, Mbpp, PredictionSets};
@@ -170,7 +174,7 @@ pub enum FlagResolution {
 /// does NOT determine: the merge-RNG state (flags already consumed
 /// draws from it), the flag/intervention counters, the handled-element
 /// set, and the pending query. Pinned end to end by the
-/// `checkpoint_roundtrip_matches_monolithic_loop` parity proptest.
+/// checkpoint-roundtrip parity proptest.
 ///
 /// Invariant this leans on: while a session is suspended, the current
 /// round's trace is exactly `generate_with_overrides(inst, overrides)`
@@ -257,12 +261,11 @@ enum Stream<'a> {
     Owned(Box<(GenerationTrace, Vocab)>),
 }
 
-/// One correction round: the stream plus, on the incremental path, the
-/// prediction sets its monitoring pass computed. The sets are kept only
-/// once the session suspends on the round (an unflagged round never
-/// copies them out of the scratch): a `Continue` re-merges them as they
-/// are, and a `Pin` hands them, with the stream, to the next round as
-/// its reuse source.
+/// One correction round: the stream plus the prediction sets its
+/// monitoring pass computed. The sets are kept only once the session
+/// suspends on the round (an unflagged round never copies them out of
+/// the scratch): a `Continue` re-merges them as they are, and a `Pin`
+/// hands them, with the stream, to the next round as its reuse source.
 #[derive(Debug)]
 struct SessionRound<'a> {
     stream: Stream<'a>,
@@ -299,10 +302,8 @@ impl<'a> SessionRound<'a> {
 /// One monitored linking run as an explicit resumable state machine.
 ///
 /// Construction mirrors the entry points of
-/// [`crate::abstention::run_rts_linking`]: a context-backed session
-/// (optionally consuming a pre-generated [`Round0`]) or — when
-/// `config.reference_linking` is set — the pre-context reference path,
-/// which ignores any provided context exactly like the monolith does.
+/// [`crate::abstention::run_rts_linking`]: a context-backed session,
+/// optionally consuming a pre-generated [`Round0`].
 ///
 /// The session owns everything the loop accumulated (current round's
 /// trace + vocabulary + prediction sets, overrides, handled set, merge
@@ -314,18 +315,12 @@ pub struct LinkSession<'a> {
     model: Handle<'a, SchemaLinker>,
     mbpp: Handle<'a, Mbpp>,
     inst: Handle<'a, Instance>,
-    meta: Handle<'a, DbMeta>,
     target: LinkTarget,
-    ctx: Option<CtxHandle<'a>>,
-    config: RtsConfig,
+    ctx: CtxHandle<'a>,
     gold: Vec<String>,
     gold_set: Vec<String>,
     rng: tinynn::rng::SplitMix64,
     monitor_layers: simlm::LayerSet,
-    /// Are correction rounds incremental? Off under the
-    /// `reference_linking` and `per_token_monitoring` oracles, which
-    /// regenerate and re-monitor every round from scratch.
-    incremental: bool,
     max_rounds: usize,
     would_be_correct: Option<bool>,
     overrides: HashMap<String, Decision>,
@@ -340,10 +335,8 @@ pub struct LinkSession<'a> {
 }
 
 impl<'a> LinkSession<'a> {
-    /// Open a session. `ctx` is ignored when `config.reference_linking`
-    /// is set (the reference path must pay the clone-per-flag trie
-    /// rebuild even if a caller handed a context alongside the knob —
-    /// same rule as the blocking runtime). `round0` follows the
+    /// Open a session. With `ctx` `None` the session builds an uncached
+    /// [`LinkContext`] for `(meta, target)`. `round0` follows the
     /// [`Round0`] contract.
     #[allow(clippy::too_many_arguments)] // mirrors the blocking entry points
     pub fn new(
@@ -383,7 +376,7 @@ impl<'a> LinkSession<'a> {
         round0: Option<Round0<'a>>,
         config: &RtsConfig,
     ) -> Self {
-        let ctx = if config.reference_linking { None } else { ctx };
+        let ctx = ctx.unwrap_or_else(|| Handle::Shared(Arc::new(LinkContext::new(&meta, target))));
         let gold = SchemaLinker::gold_elements(&inst, target);
         let gold_set = {
             let mut g = gold.clone();
@@ -391,11 +384,7 @@ impl<'a> LinkSession<'a> {
             g
         };
         let rng = crate::par::instance_rng(config.seed, inst.id);
-        let monitor_layers = if config.eager_synthesis {
-            simlm::LayerSet::all()
-        } else {
-            mbpp.layer_set()
-        };
+        let monitor_layers = mbpp.layer_set();
         let max_rounds = if config.max_rounds == 0 {
             gold.len() + 2
         } else {
@@ -405,15 +394,12 @@ impl<'a> LinkSession<'a> {
             model,
             mbpp,
             inst,
-            meta,
             target,
             ctx,
-            config: config.clone(),
             gold,
             gold_set,
             rng,
             monitor_layers,
-            incremental: !config.reference_linking && !config.per_token_monitoring,
             max_rounds,
             would_be_correct: None,
             overrides: HashMap::new(),
@@ -509,10 +495,10 @@ impl<'a> LinkSession<'a> {
     /// engine keeps them per ticket), the recorded state is restored
     /// verbatim, and the current round — evicted at checkpoint time —
     /// is re-synthesized from the restored override map, with its
-    /// prediction sets re-probed on the incremental path. Bit-identical
-    /// to a session that was never checkpointed: same pending query,
-    /// same `held_bytes`, same flags/RNG/outcomes downstream (pinned by
-    /// the checkpoint-roundtrip parity proptest). A checkpoint without
+    /// prediction sets re-probed. Bit-identical to a session that was
+    /// never checkpointed: same pending query, same `held_bytes`, same
+    /// flags/RNG/outcomes downstream (pinned by the checkpoint-roundtrip
+    /// parity proptest). A checkpoint without
     /// a round (`has_round` false, as the engine restores one it is
     /// about to pin) restores no reuse source: the next round is
     /// synthesized whole.
@@ -585,8 +571,8 @@ impl<'a> LinkSession<'a> {
             // Re-synthesize the evicted round: generation is
             // deterministic in (instance, overrides, layer set), so the
             // trace and vocabulary come back bit-identical, and so do
-            // the prediction sets a suspended incremental round keeps
-            // (a pure function of the trace).
+            // the prediction sets a suspended round keeps (a pure
+            // function of the trace).
             let mut vocab = Vocab::new();
             let trace = session.model.generate_with_overrides_and_layers(
                 &session.inst,
@@ -597,14 +583,11 @@ impl<'a> LinkSession<'a> {
                 &session.monitor_layers,
                 synth,
             );
-            let sets = session.incremental.then(|| {
-                let mut bpp = BppScratch::default();
-                session.mbpp.predict_sets(&trace, None, &mut bpp);
-                bpp.sets().clone()
-            });
+            let mut bpp = BppScratch::default();
+            session.mbpp.predict_sets(&trace, None, &mut bpp);
             session.cur = Some(SessionRound {
                 stream: Stream::Owned(Box::new((trace, vocab))),
-                sets,
+                sets: Some(bpp.sets().clone()),
             });
         }
         session.pending = cp.pending.clone().map(|query| PendingFlag { query });
@@ -647,26 +630,6 @@ impl<'a> LinkSession<'a> {
         if let Some(pending) = &self.pending {
             return SessionState::NeedsFeedback(pending.query.clone());
         }
-        // Reference path: TAR/FAR accounting generates the unmonitored
-        // counterfactual explicitly, before round 0 (the context path
-        // derives it from round 0's stream below instead).
-        if self.config.reference_linking && self.would_be_correct.is_none() {
-            let baseline_layers = if self.config.eager_synthesis {
-                simlm::LayerSet::all()
-            } else {
-                simlm::LayerSet::none()
-            };
-            let mut vocab = Vocab::new();
-            let baseline = self.model.generate_with_layers(
-                &self.inst,
-                &mut vocab,
-                self.target,
-                GenMode::Free,
-                &baseline_layers,
-                &mut scratch.synth,
-            );
-            self.would_be_correct = Some(baseline.predicted_set() == self.gold_set);
-        }
         // One monitor cycle per step: every cycle either completes the
         // run or suspends on a flag (the monolith's loop continued here
         // only after its inline policy handling — which now lives in
@@ -683,23 +646,17 @@ impl<'a> LinkSession<'a> {
         // regenerated from it incrementally.
         let mut prev_sets: Option<PredictionSets> = None;
         let mut round = match self.cur.take() {
-            Some(round) if !self.stale && !self.config.reference_linking => round,
+            Some(round) if !self.stale => round,
             prev => {
-                // Regenerate. On the incremental path the superseded
-                // round is the reuse source: every position whose
-                // synthesis key the pin left unchanged takes over its
-                // hidden stack, and below its prediction sets. The
-                // oracles regenerate from scratch and free the
-                // superseded round first, so two traces are never live
-                // at once.
-                let reuse = match prev.filter(|_| self.incremental) {
-                    Some(prev) => {
-                        let (source, sets) = prev.into_reuse();
-                        prev_sets = sets;
-                        Some(source)
-                    }
-                    None => None,
-                };
+                // Regenerate. The superseded round is the reuse source:
+                // every position whose synthesis key the pin left
+                // unchanged takes over its hidden stack, and below its
+                // prediction sets.
+                let reuse = prev.map(|prev| {
+                    let (source, sets) = prev.into_reuse();
+                    prev_sets = sets;
+                    source
+                });
                 let mut vocab = Vocab::new();
                 let trace = self.model.generate_reusing(
                     &self.inst,
@@ -723,9 +680,7 @@ impl<'a> LinkSession<'a> {
             // Round 0, no overrides: this stream is the counterfactual.
             self.would_be_correct = Some(trace.predicted_set() == self.gold_set);
         }
-        let flags = if self.config.per_token_monitoring {
-            self.mbpp.flag_trace_per_token(trace, &mut self.rng)
-        } else if let Some(sets) = &round.sets {
+        let flags = if let Some(sets) = &round.sets {
             // A `Continue` left the stream, and so its sets, unchanged:
             // only the merge runs (the merge RNG has advanced, so the
             // flags may differ from the last round's).
@@ -776,14 +731,9 @@ impl<'a> LinkSession<'a> {
         // monolith computed the implicated set inside the policy
         // arms; hoisting it here is outcome-neutral (it is a pure
         // function of the stream and consumes no RNG).
-        let implicated = crate::abstention::implicated(
-            self.ctx.as_deref(),
-            round.vocab(),
-            &self.meta,
-            self.target,
-            &trace.tokens,
-            branch_pos,
-        );
+        let implicated = self
+            .ctx
+            .implicated_elements(round.vocab(), &trace.tokens, branch_pos);
         let query = FlagQuery {
             instance: self.inst.id,
             is_table: self.target == LinkTarget::Tables,
@@ -794,7 +744,7 @@ impl<'a> LinkSession<'a> {
             implicated,
             predicted: trace.predicted.clone(),
         };
-        if self.incremental && round.sets.is_none() {
+        if round.sets.is_none() {
             // Keep the sets with the suspended round.
             round.sets = Some(scratch.bpp.sets().clone());
         }
@@ -841,12 +791,8 @@ impl<'a> LinkSession<'a> {
                 // its reuse source — wherever the pin left a position's
                 // synthesis key unchanged, its hidden stack and
                 // prediction sets carry over instead of being
-                // synthesized and probed again. The oracles regenerate
-                // from scratch, so they free it here.
+                // synthesized and probed again.
                 self.stale = true;
-                if !self.incremental {
-                    self.cur = None;
-                }
             }
         }
     }
@@ -943,12 +889,10 @@ pub fn drive_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstention::run_rts_linking_monolithic;
     use crate::bpp::{MbppConfig, ProbeConfig};
     use crate::branching::BranchDataset;
     use crate::context::LinkContexts;
     use crate::human::{Expertise, HumanOracle};
-    use crate::surrogate::SurrogateModel;
     use benchgen::{Benchmark, BenchmarkProfile};
 
     struct Fx {
@@ -978,54 +922,6 @@ mod tests {
             model,
             mbpp,
             contexts,
-        }
-    }
-
-    #[test]
-    fn driven_session_matches_monolithic_loop_for_all_policies() {
-        let fx = fixture();
-        let oracle = HumanOracle::new(Expertise::Expert, 5);
-        let surrogate = SurrogateModel::train(&fx.bench, 3);
-        let config = RtsConfig::default();
-        let mut scratch = LinkScratch::default();
-        for policy in [
-            MitigationPolicy::AbstainOnly,
-            MitigationPolicy::Surrogate(&surrogate),
-            MitigationPolicy::Human(&oracle),
-        ] {
-            for inst in fx.bench.split.dev.iter().take(50) {
-                let meta = fx.bench.meta(&inst.db_name).unwrap();
-                let ctx = fx.contexts.get(&inst.db_name, LinkTarget::Tables);
-                let mut session = LinkSession::new(
-                    &fx.model,
-                    &fx.mbpp,
-                    inst,
-                    meta,
-                    LinkTarget::Tables,
-                    Some(CtxHandle::Borrowed(ctx)),
-                    None,
-                    &config,
-                );
-                let stepped = drive_session(&mut session, &policy, &mut scratch);
-                let monolithic = run_rts_linking_monolithic(
-                    &fx.model,
-                    &fx.mbpp,
-                    inst,
-                    meta,
-                    LinkTarget::Tables,
-                    Some(ctx),
-                    None,
-                    &policy,
-                    &config,
-                    &mut scratch,
-                );
-                assert_eq!(
-                    format!("{stepped:?}"),
-                    format!("{monolithic:?}"),
-                    "inst {}",
-                    inst.id
-                );
-            }
         }
     }
 

@@ -11,12 +11,12 @@
 //!
 //! [`trace_back`] consumes the stream through a
 //! [`simlm::IncrementalDecoder`], one token per loop step; the
-//! re-decode-the-whole-prefix formulation it replaced is kept verbatim
-//! as [`trace_back_reference`] (quadratic in the stream length) for A/B
-//! benchmarking and the parity tests.
+//! re-decode-the-whole-prefix formulation it replaced (quadratic in the
+//! stream length) is kept in `rts_bench::oracle` for A/B benchmarking
+//! and the parity tests.
 
 use simlm::vocab::{TokenId, TOK_END};
-use simlm::{decode_elements, IncrementalDecoder, Trie, Vocab};
+use simlm::{IncrementalDecoder, Trie, Vocab};
 
 /// Elements implicated by the branching token at `branch_pos`.
 ///
@@ -104,53 +104,10 @@ pub fn trace_back_with(
     }
 }
 
-/// The pre-incremental [`trace_back`]: re-runs [`decode_elements`] over
-/// the full prefix on every loop iteration (O(n²) in the stream
-/// length). Kept byte-for-byte as the reference the incremental decoder
-/// is pinned against (`traceback_incremental_matches_reference` in the
-/// parity proptests) and as the cost model behind
-/// `RtsConfig::reference_linking`.
-pub fn trace_back_reference(
-    vocab: &Vocab,
-    trie: &Trie,
-    tokens: &[TokenId],
-    branch_pos: usize,
-) -> Vec<String> {
-    assert!(branch_pos < tokens.len(), "branch position out of range");
-    let end_tok = vocab.get(TOK_END);
-
-    let (pre, _) = decode_elements(vocab, &tokens[..branch_pos]);
-    let mut upto = branch_pos + 1;
-    loop {
-        let (after, partial) = decode_elements(vocab, &tokens[..upto]);
-        let fresh: Vec<String> = after.iter().filter(|e| !pre.contains(e)).cloned().collect();
-        if !fresh.is_empty() {
-            return fresh;
-        }
-        if upto < tokens.len() {
-            if Some(tokens[upto]) == end_tok {
-                if let Some(last) = after.last() {
-                    return vec![last.clone()];
-                }
-            }
-            upto += 1;
-            continue;
-        }
-        if !partial.is_empty() {
-            if let Some((_suffix, name)) = trie.cheapest_completion(&partial) {
-                if !pre.contains(&name.to_string()) {
-                    return vec![name.to_string()];
-                }
-            }
-        }
-        return after.last().map(|e| vec![e.clone()]).unwrap_or_default();
-    }
-}
-
 /// Build the constrained-decoding trie over table names in (the id
 /// space of) `vocab`. This is the builder `LinkContext` precompiles
-/// once per database; it also serves the clone-per-flag reference path,
-/// which hands it a clone of the generation vocabulary.
+/// once per database; the clone-per-flag oracle hands it a clone of the
+/// generation vocabulary instead.
 pub fn table_trie_in(vocab: &mut Vocab, meta: &benchgen::schemagen::DbMeta) -> Trie {
     Trie::from_elements(vocab, meta.tables.iter().map(|t| t.name.as_str()))
 }
@@ -246,76 +203,5 @@ mod tests {
         let trie = column_trie(&mut vocab, meta);
         let total: usize = meta.tables.iter().map(|t| t.columns.len()).sum();
         assert_eq!(trie.len(), total);
-    }
-
-    #[test]
-    fn incremental_matches_reference_on_generated_streams() {
-        // Every (stream, branch position, truncation) the dev split can
-        // produce: the single-pass trace back must agree with the
-        // quadratic reference exactly, including the trie-completion
-        // and eos corner cases.
-        let bench = BenchmarkProfile::bird_like().scaled(0.02).generate(80);
-        let model = SchemaLinker::new("bird", 23);
-        let mut cases = 0usize;
-        for inst in bench.split.dev.iter() {
-            for target in [LinkTarget::Tables, LinkTarget::Columns] {
-                let mut vocab = Vocab::new();
-                let trace = model.generate(inst, &mut vocab, target, GenMode::Free);
-                let meta = bench.meta(&inst.db_name).unwrap();
-                let trie = match target {
-                    LinkTarget::Tables => table_trie(&mut vocab, meta),
-                    LinkTarget::Columns => column_trie(&mut vocab, meta),
-                };
-                for branch_pos in 0..trace.tokens.len() {
-                    for cut in branch_pos + 1..=trace.tokens.len() {
-                        let toks = &trace.tokens[..cut];
-                        assert_eq!(
-                            trace_back(&vocab, &trie, toks, branch_pos),
-                            trace_back_reference(&vocab, &trie, toks, branch_pos),
-                            "instance {} target {target:?} branch {branch_pos} cut {cut}",
-                            inst.id
-                        );
-                        cases += 1;
-                    }
-                }
-            }
-        }
-        assert!(cases > 1000, "too few cases exercised: {cases}");
-    }
-
-    #[test]
-    fn long_stream_traceback_is_single_pass() {
-        // A long synthetic stream (hundreds of elements): the
-        // incremental path must agree with the reference when the
-        // branch sits at the front — exactly where the re-decode
-        // formulation paid its quadratic worst case.
-        let mut vocab = Vocab::new();
-        let mut trie = Trie::new();
-        let comma = vocab.intern(simlm::vocab::TOK_COMMA);
-        let mut tokens: Vec<TokenId> = vec![
-            vocab.intern(simlm::vocab::TOK_TABLES),
-            vocab.intern(simlm::vocab::TOK_COLON),
-        ];
-        for i in 0..400 {
-            let name = format!("tbl{i}Data");
-            let ids = simlm::linearize::element_tokens(&mut vocab, &name);
-            trie.insert(&name, &ids);
-            if i > 0 {
-                tokens.push(comma);
-            }
-            // Repeat the same element so nothing is ever "fresh" and the
-            // loop must walk the whole stream.
-            let ids0 = vocab.try_encode_identifier("tbl0Data").unwrap();
-            tokens.extend(ids0);
-        }
-        tokens.push(vocab.intern(simlm::vocab::TOK_END));
-        // Branch on the second element's first token: `pre` then already
-        // contains "tbl0Data", so no later completion is ever fresh and
-        // both paths must walk the stream to the eos fallback.
-        let branch_pos = 5;
-        let fast = trace_back(&vocab, &trie, &tokens, branch_pos);
-        let slow = trace_back_reference(&vocab, &trie, &tokens, branch_pos);
-        assert_eq!(fast, slow);
-        assert_eq!(fast, vec!["tbl0Data".to_string()]);
     }
 }

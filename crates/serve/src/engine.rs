@@ -75,8 +75,8 @@ pub struct ServeConfig {
     /// Base backoff before a step retry; doubles per consecutive panic
     /// of the same ticket. `ZERO` retries immediately.
     pub step_retry_backoff: Duration,
-    /// Runtime knobs threaded into every session (seed, reference
-    /// paths, …).
+    /// Runtime knobs threaded into every session (merge seed, round
+    /// cap).
     pub rts: RtsConfig,
 }
 
@@ -951,17 +951,12 @@ impl Shard {
         }
     }
 
+    /// The session's context: the shared cached one, or `None` when a
+    /// `ContextBuild` fault trips, so the session builds an uncached
+    /// `LinkContext` of its own — the same context, just not shared.
+    /// Never an abstention, never a drop.
     fn session_ctx(&self, meta: &DbMeta, stage: LinkTarget) -> Option<CtxHandle<'static>> {
-        // The reference-linking knob runs context-free (the session
-        // ignores a context under it anyway; skip the cache churn).
-        if self.config.rts.reference_linking {
-            return None;
-        }
         if self.config.fault.trip(FaultSite::ContextBuild) {
-            // A failed context build degrades to the context-free
-            // reference path — outcome-identical (pinned by the
-            // cached≡reference parity proptests), just slower. Never
-            // an abstention, never a drop.
             self.counters
                 .context_build_fallbacks
                 .fetch_add(1, Ordering::Relaxed);
@@ -1750,6 +1745,173 @@ mod tests {
             "corrupt bytes still billed off"
         );
         assert_eq!(stats.parked_bytes_now, 0);
+        assert_batch_parity(fx, &oracle, &instances, &outcomes);
+    }
+
+    #[test]
+    fn context_build_faults_fall_back_to_uncached_contexts_with_parity() {
+        let fx = fixture();
+        let oracle = HumanOracle::new(Expertise::Expert, 9);
+        let instances: Vec<benchgen::Instance> =
+            fx.bench.split.dev.iter().take(24).cloned().collect();
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                // Every park checkpoints, so restored sessions ask for
+                // a context too…
+                parked_bytes_budget: 1,
+                // …and every context lookup fails.
+                fault: FaultPlan::seeded(5, 0.0).with_rate(FaultSite::ContextBuild, 1.0),
+                ..Default::default()
+            },
+        );
+        let outcomes = with_workers(&engine, || client_run(&engine, 0, &instances, &oracle));
+        assert_eq!(outcomes.len(), instances.len(), "fallbacks never drop");
+        let stats = engine.stats();
+        assert!(stats.restores > 0, "1-byte budget checkpoints every park");
+        // The Human policy never abstains and nothing sheds or panics,
+        // so every request opens a tables and a columns session, and
+        // every restore rebuilds one: each asked for a context once.
+        assert_eq!(
+            stats.context_build_fallbacks,
+            2 * instances.len() as u64 + stats.restores,
+            "every session opened or restored falls back"
+        );
+        assert_eq!(
+            stats.cache.hits + stats.cache.misses,
+            0,
+            "no session reached the context cache"
+        );
+        assert_eq!(stats.parked_bytes_now, 0);
+        assert_eq!(stats.checkpoint_bytes_now, 0);
+        // A session's own context traces flags back exactly like the
+        // shared one: answers are unchanged.
+        assert_batch_parity(fx, &oracle, &instances, &outcomes);
+    }
+
+    #[test]
+    fn tenant_quota_holds_under_concurrent_submitters() {
+        let fx = fixture();
+        let oracle = HumanOracle::new(Expertise::Expert, 9);
+        let policy = MitigationPolicy::Human(&oracle);
+        let (quota, n_clients, per_client) = (2usize, 4usize, 5usize);
+        let instances: Vec<benchgen::Instance> = fx
+            .bench
+            .split
+            .dev
+            .iter()
+            .take(n_clients * per_client)
+            .cloned()
+            .collect();
+        let chunks: Vec<&[benchgen::Instance]> = instances.chunks(per_client).collect();
+        let engine = fx.engine(
+            1,
+            ServeConfig {
+                workers: 2,
+                quota: TenantQuota {
+                    max_in_flight: quota,
+                    max_parked: 0,
+                },
+                ..Default::default()
+            },
+        );
+        let attempts = AtomicU64::new(0);
+        let submit = |inst: &benchgen::Instance| {
+            attempts.fetch_add(1, Ordering::Relaxed);
+            engine.submit(0, inst)
+        };
+        // Every client of the one tenant submits its first instance
+        // concurrently before any worker runs: nothing completes, so
+        // exactly `quota` are admitted and the rest are rejected.
+        let first: Vec<Result<ShardedTicket, SubmitError>> = crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = chunks
+                .iter()
+                .map(|chunk| {
+                    let submit = &submit;
+                    s.spawn(move |_| submit(&chunk[0]))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("submitter panicked"))
+                .collect()
+        })
+        .expect("submit scope panicked");
+        assert_eq!(first.iter().filter(|r| r.is_ok()).count(), quota);
+        for rejected in first.iter().filter_map(|r| r.as_ref().err()) {
+            assert_eq!(
+                *rejected,
+                SubmitError::QuotaExceeded {
+                    tenant: 0,
+                    limit: quota
+                }
+            );
+        }
+        // Then the workers run and every client drives its chunk to
+        // completion, resubmitting through quota backpressure.
+        let drive = |ticket: ShardedTicket, inst: &benchgen::Instance| loop {
+            match engine.wait_event(ticket) {
+                ClientEvent::NeedsFeedback { query, .. } => engine
+                    .resolve(ticket, &query, resolve_flag(&policy, inst, &query))
+                    .expect("no timeout: a parked flag takes its answer"),
+                ClientEvent::Done(done) => break (inst.id, done),
+                ClientEvent::Retired => panic!("ticket {ticket} retired before collection"),
+            }
+        };
+        let outcomes: Vec<(u64, ServeOutcome)> = with_workers(&engine, || {
+            crossbeam::thread::scope(|s| {
+                let handles: Vec<_> = chunks
+                    .iter()
+                    .zip(&first)
+                    .map(|(chunk, first)| {
+                        let (submit, drive) = (&submit, &drive);
+                        s.spawn(move |_| {
+                            chunk
+                                .iter()
+                                .enumerate()
+                                .map(|(i, inst)| {
+                                    let ticket = match first {
+                                        Ok(ticket) if i == 0 => *ticket,
+                                        _ => loop {
+                                            match submit(inst) {
+                                                Ok(ticket) => break ticket,
+                                                Err(SubmitError::QuotaExceeded { .. }) => {
+                                                    std::thread::sleep(Duration::from_micros(200))
+                                                }
+                                                Err(e) => panic!("unexpected rejection: {e}"),
+                                            }
+                                        },
+                                    };
+                                    drive(ticket, inst)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("client panicked"))
+                    .collect()
+            })
+            .expect("client scope panicked")
+        });
+        assert_eq!(outcomes.len(), instances.len(), "backpressure never drops");
+        let stats = engine.stats();
+        assert_eq!(
+            stats.tenant_in_flight_peak, quota,
+            "the quota is reached and never exceeded"
+        );
+        assert!(stats.rejected_quota >= (n_clients - quota) as u64);
+        assert_eq!(stats.rejected, 0, "the queue never filled");
+        assert_eq!(
+            stats.completed + stats.rejected_quota,
+            attempts.load(Ordering::Relaxed),
+            "every submission either completed or was rejected"
+        );
+        assert_eq!(stats.parked_bytes_now, 0);
+        assert_eq!(stats.parked_sessions_now, 0);
+        assert_eq!(stats.checkpoint_bytes_now, 0);
         assert_batch_parity(fx, &oracle, &instances, &outcomes);
     }
 

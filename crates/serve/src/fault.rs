@@ -18,9 +18,9 @@
 //!   fails to decode. The engine re-runs the regeneration recipe from
 //!   its in-memory salvage copy, or abstains.
 //! * [`FaultSite::ContextBuild`] — building a shared `LinkContext`
-//!   fails. The session runs context-free instead; the reference
-//!   implicated-set path is outcome-identical (pinned by the parity
-//!   proptests), so this degrades *performance*, never answers.
+//!   through the cache fails. The session builds an uncached context
+//!   of its own instead — the same context, so this degrades
+//!   *performance* (a build per session, no sharing), never answers.
 //! * [`FaultSite::FeedbackLoss`] — a client's resolution is lost in
 //!   flight. Only injected when a feedback timeout is configured: the
 //!   park timeout completes the request as an abstention hand-off.
@@ -41,7 +41,8 @@ pub enum FaultSite {
     StepPanic,
     /// Corrupt a parked-session checkpoint at decode time.
     CheckpointDecode,
-    /// Fail a shared `LinkContext` build.
+    /// Fail a shared `LinkContext` build (the session builds an
+    /// uncached one instead).
     ContextBuild,
     /// Drop a client resolution in flight (requires a feedback timeout).
     FeedbackLoss,

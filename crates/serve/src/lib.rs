@@ -52,8 +52,8 @@
 //!   caught (`catch_unwind`), rebuilt from its salvage checkpoint and
 //!   retried with backoff before degrading the one ticket to
 //!   abstention; corrupt checkpoints re-run their regeneration recipe;
-//!   failed context builds fall back to the outcome-identical
-//!   context-free path; client API misuse (unknown tickets, double
+//!   a failed context-cache build leaves the session to build an
+//!   uncached context of its own; client API misuse (unknown tickets, double
 //!   resolves) returns typed errors ([`ClientEvent::Retired`],
 //!   [`ResolveError`]) instead of panicking. The [`fault`] module's
 //!   deterministic [`fault::FaultPlan`] injects all of these

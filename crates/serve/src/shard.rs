@@ -28,8 +28,8 @@
 //! instance and the seeded config plus the client's resolutions —
 //! worker placement cannot reach them — so a sharded run is
 //! byte-identical to a one-shard run per request. The
-//! `sharded_engine_matches_single_shard` proptest pins that across the
-//! `RTS_THREADS × RTS_REFERENCE` CI matrix. Degrade-only shutdown
+//! `sharded_engine_matches_single_shard` proptest pins that under both
+//! `RTS_THREADS` legs of the CI parity job. Degrade-only shutdown
 //! likewise survives composition: shutdown fans out to every shard,
 //! workers drain *all* shards before exiting, and every per-shard
 //! gauge returns to zero.

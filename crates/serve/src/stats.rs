@@ -102,8 +102,9 @@ pub struct ServingStats {
     /// Checkpoints that failed to decode and were rebuilt from the
     /// ticket's in-memory salvage recipe instead.
     pub corrupt_checkpoints_recovered: u64,
-    /// Context-cache builds that failed and fell back to the
-    /// context-free reference path (outcome-identical, just slower).
+    /// Context-cache builds that failed, each replaced by an uncached
+    /// context the session built for itself (outcome-identical, just
+    /// slower).
     pub context_build_fallbacks: u64,
     /// Client resolutions lost in flight (injected); the park timeout
     /// completed those requests as abstention hand-offs.

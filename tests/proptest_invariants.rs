@@ -134,25 +134,29 @@ mod parity {
     use super::*;
     use rts::benchgen::{Benchmark, BenchmarkProfile, Instance};
     use rts::core::abstention::{
-        run_rts_linking, run_rts_linking_from, run_rts_linking_in, run_rts_linking_monolithic,
-        LinkScratch, MitigationPolicy, Round0, RtsConfig,
+        run_rts_linking, run_rts_linking_from, run_rts_linking_in, LinkScratch, MitigationPolicy,
+        Round0, RtsConfig,
     };
     use rts::core::bpp::{BppScratch, Mbpp, MbppConfig, ProbeConfig};
     use rts::core::branching::BranchDataset;
-    use rts::core::context::{implicated_elements_reference, LinkContexts};
+    use rts::core::context::LinkContexts;
     use rts::core::human::{Expertise, HumanOracle};
     use rts::core::pipeline::{run_full_pipeline, run_joint_linking, JointOutcome};
     use rts::core::session::{
         resolve_flag, CtxHandle, LinkSession, SessionCheckpoint, SessionState,
     };
     use rts::core::sqlgen::SqlGenModel;
-    use rts::core::traceback::{column_trie, table_trie, trace_back, trace_back_reference};
+    use rts::core::traceback::{column_trie, table_trie, trace_back};
     use rts::serve::{
         drive_closed_loop, Engine, FaultPlan, ServeConfig, ServeOutcome, ShardedEngine,
     };
     use rts::simlm::{
         CorpusVersion, Decision, GenMode, GenerationTrace, LayerSet, LinkTarget, ReuseSource,
         SchemaLinker, SynthScratch, Vocab,
+    };
+    use rts_bench::oracle::{
+        flag_trace_per_token, implicated_elements_reference, run_rts_linking_monolithic,
+        trace_back_reference, Oracle,
     };
     use std::collections::HashMap;
     use std::sync::OnceLock;
@@ -192,23 +196,16 @@ mod parity {
         })
     }
 
-    /// Base config for parity runs. The CI parity matrix sets
-    /// `RTS_REFERENCE` (`per-token`, `eager`, `reference`) so that
-    /// parallel ≡ serial is enforced on the reference paths too, not
-    /// just on the fast defaults — and crossed with `RTS_THREADS` so
-    /// the serial and parallel runtimes are both exercised.
+    /// Base config for parity runs. Production has one linking path;
+    /// every property that pins it to the oracles iterates
+    /// [`Oracle::ALL`] in-process, and the CI parity job runs the whole
+    /// target under `RTS_THREADS ∈ {1, 4}`, so the serial and parallel
+    /// runtimes are both exercised.
     fn base_config(seed: u64) -> RtsConfig {
-        let mut config = RtsConfig {
+        RtsConfig {
             seed,
             ..RtsConfig::default()
-        };
-        match std::env::var("RTS_REFERENCE").as_deref() {
-            Ok("per-token") => config.per_token_monitoring = true,
-            Ok("eager") => config.eager_synthesis = true,
-            Ok("reference") => config.reference_linking = true,
-            _ => {}
         }
-        config
     }
 
     /// Two traces are the same stream bit for bit: tokens, decisions,
@@ -395,37 +392,45 @@ mod parity {
             let mut rng_lazy = SplitMix64::new(seed);
             let mut rng_eager = SplitMix64::new(seed);
             prop_assert_eq!(
-                fx.mbpp_t.flag_trace_per_token(&lazy, &mut rng_lazy),
-                fx.mbpp_t.flag_trace_per_token(&eager, &mut rng_eager)
+                flag_trace_per_token(&fx.mbpp_t, &lazy, &mut rng_lazy),
+                flag_trace_per_token(&fx.mbpp_t, &eager, &mut rng_eager)
             );
         }
 
-        /// The monitored-linking runtime produces byte-identical
-        /// outcomes with lazy synthesis (the default) and with the
-        /// eager full-stack reference (`eager_synthesis: true`) — the
-        /// invariant that keeps every `results/*.json` experiment
-        /// output byte-identical to the pre-lazy corpus.
+        /// The monitored-linking runtime (lazy synthesis) produces
+        /// byte-identical outcomes to the eager full-stack oracle,
+        /// crossed with every other oracle setting — the invariant that
+        /// keeps every `results/*.json` experiment output
+        /// byte-identical to the pre-lazy corpus.
         #[test]
         fn lazy_linking_outcomes_match_eager(seed in any::<u64>(), n in 8usize..24) {
             let fx = fixture();
             let oracle = HumanOracle::new(Expertise::Expert, seed ^ 0x0DDE);
-            let lazy_cfg = base_config(seed);
-            let eager_cfg = RtsConfig { eager_synthesis: true, ..base_config(seed) };
+            let config = base_config(seed);
+            let mut scratch = LinkScratch::default();
             for policy in [
                 MitigationPolicy::AbstainOnly,
                 MitigationPolicy::Human(&oracle),
             ] {
-                let run = |cfg: &RtsConfig| -> Vec<String> {
-                    fx.bench.split.dev.iter().take(n).map(|inst| {
-                        let meta = fx.bench.meta(&inst.db_name).unwrap();
-                        let o = run_rts_linking(
-                            &fx.model, &fx.mbpp_t, inst, meta,
-                            LinkTarget::Tables, &policy, cfg,
+                for inst in fx.bench.split.dev.iter().take(n) {
+                    let meta = fx.bench.meta(&inst.db_name).unwrap();
+                    let ctx = fx.contexts.get(&inst.db_name, LinkTarget::Tables);
+                    let lazy = run_rts_linking(
+                        &fx.model, &fx.mbpp_t, inst, meta, LinkTarget::Tables, &policy, &config,
+                    );
+                    for knobs in Oracle::ALL {
+                        let eager = run_rts_linking_monolithic(
+                            &fx.model, &fx.mbpp_t, inst, meta, LinkTarget::Tables, Some(ctx),
+                            None, &policy, &config, Oracle { eager: true, ..knobs },
+                            &mut scratch,
                         );
-                        format!("{o:?}")
-                    }).collect()
-                };
-                prop_assert_eq!(run(&lazy_cfg), run(&eager_cfg));
+                        prop_assert_eq!(
+                            format!("{:?}", lazy),
+                            format!("{:?}", eager),
+                            "instance {} oracle {:?}", inst.id, knobs
+                        );
+                    }
+                }
             }
         }
 
@@ -445,7 +450,7 @@ mod parity {
             let mut rng_batched = SplitMix64::new(seed);
             let mut rng_serial = SplitMix64::new(seed);
             let batched = fx.mbpp_t.flag_trace(&trace, &mut rng_batched);
-            let per_token = fx.mbpp_t.flag_trace_per_token(&trace, &mut rng_serial);
+            let per_token = flag_trace_per_token(&fx.mbpp_t, &trace, &mut rng_serial);
             prop_assert_eq!(&batched, &per_token);
             // Identical RNG consumption ⇒ downstream decisions in a
             // multi-round run stay aligned too.
@@ -505,13 +510,14 @@ mod parity {
         }
 
         /// The shared-`LinkContext` runtime ≡ the pre-context reference
-        /// path (`reference_linking: true`: explicit counterfactual
-        /// generation, regeneration every round, clone-per-flag trie
-        /// rebuild, full-prefix re-decode): outcomes field-for-field —
-        /// flags, implicated-set-driven decisions, interventions,
-        /// predictions — across targets, policies and seeds. This is
-        /// the invariant that keeps every committed `results/*.json`
-        /// byte-identical under the context refactor.
+        /// oracle (explicit counterfactual generation, regeneration
+        /// every round, clone-per-flag trie rebuild, full-prefix
+        /// re-decode), crossed with every other oracle setting:
+        /// outcomes field-for-field — flags, implicated-set-driven
+        /// decisions, interventions, predictions — across targets,
+        /// policies and seeds. This is the invariant that keeps every
+        /// committed `results/*.json` byte-identical under the context
+        /// refactor.
         #[test]
         fn context_linking_matches_reference(
             seed in any::<u64>(),
@@ -522,8 +528,7 @@ mod parity {
             let oracle = HumanOracle::new(Expertise::Expert, seed ^ 0x0DDE);
             let target = if columns { LinkTarget::Columns } else { LinkTarget::Tables };
             let mbpp = if columns { &fx.mbpp_c } else { &fx.mbpp_t };
-            let fast_cfg = base_config(seed);
-            let ref_cfg = RtsConfig { reference_linking: true, ..base_config(seed) };
+            let config = base_config(seed);
             let mut scratch = LinkScratch::default();
             for policy in [
                 MitigationPolicy::AbstainOnly,
@@ -533,23 +538,28 @@ mod parity {
                     let meta = fx.bench.meta(&inst.db_name).unwrap();
                     let ctx = fx.contexts.get(&inst.db_name, target);
                     let fast = run_rts_linking_in(
-                        &fx.model, mbpp, inst, meta, ctx, &policy, &fast_cfg, &mut scratch,
+                        &fx.model, mbpp, inst, meta, ctx, &policy, &config, &mut scratch,
                     );
-                    let reference = run_rts_linking(
-                        &fx.model, mbpp, inst, meta, target, &policy, &ref_cfg,
-                    );
-                    prop_assert_eq!(
-                        format!("{:?}", fast),
-                        format!("{:?}", reference),
-                        "instance {} target {:?}", inst.id, target
-                    );
+                    for knobs in Oracle::ALL {
+                        let reference = run_rts_linking_monolithic(
+                            &fx.model, mbpp, inst, meta, target, None, None, &policy, &config,
+                            Oracle { reference: true, ..knobs }, &mut scratch,
+                        );
+                        prop_assert_eq!(
+                            format!("{:?}", fast),
+                            format!("{:?}", reference),
+                            "instance {} target {:?} oracle {:?}", inst.id, target, knobs
+                        );
+                    }
                 }
             }
         }
 
         /// `run_rts_linking_from` (round 0 supplied by the caller — the
         /// production dataflow where the generated stream is shared
-        /// with the monitor) ≡ regenerating round 0 inside the runtime.
+        /// with the monitor) ≡ regenerating round 0 inside the runtime,
+        /// and ≡ the monolith handed the same round 0 under every
+        /// oracle setting.
         #[test]
         fn from_trace_linking_matches_regenerating(
             seed in any::<u64>(),
@@ -587,6 +597,18 @@ mod parity {
                         format!("{:?}", regen),
                         "instance {} target {:?}", inst.id, target
                     );
+                    for knobs in Oracle::ALL {
+                        let monolithic = run_rts_linking_monolithic(
+                            &fx.model, mbpp, inst, meta, target, Some(ctx),
+                            Some(Round0 { trace: &trace, vocab: &vocab }),
+                            &policy, &config, knobs, &mut scratch,
+                        );
+                        prop_assert_eq!(
+                            format!("{:?}", from),
+                            format!("{:?}", monolithic),
+                            "instance {} target {:?} oracle {:?}", inst.id, target, knobs
+                        );
+                    }
                 }
             }
         }
@@ -597,8 +619,8 @@ mod parity {
         /// and the trace-consuming `run_rts_linking_from`). Multi-round
         /// Human runs only agree if the merge-RNG stream, flag counts
         /// and intervention accounting stay in lock-step, so outcome
-        /// equality pins the whole state machine — under every
-        /// `RTS_REFERENCE` knob and thread count of the CI matrix.
+        /// equality pins the whole state machine — against every
+        /// oracle setting, under both thread counts of the CI job.
         #[test]
         fn session_linking_matches_monolithic_loop(
             seed in any::<u64>(),
@@ -619,18 +641,8 @@ mod parity {
                     let meta = fx.bench.meta(&inst.db_name).unwrap();
                     let ctx = fx.contexts.get(&inst.db_name, target);
                     // Driver shape 1: shared context, internal round 0.
-                    let driven = run_rts_linking_in(
+                    let driven_in = run_rts_linking_in(
                         &fx.model, mbpp, inst, meta, ctx, &policy, &config, &mut scratch,
-                    );
-                    let monolithic = run_rts_linking_monolithic(
-                        &fx.model, mbpp, inst, meta, target, Some(ctx), None,
-                        &policy, &config, &mut scratch,
-                    );
-                    prop_assert_eq!(
-                        format!("{:?}", driven),
-                        format!("{:?}", monolithic),
-                        "run_rts_linking_in vs monolith, instance {} target {:?}",
-                        inst.id, target
                     );
                     // Driver shape 2: caller-supplied round-0 stream.
                     let mut vocab = Vocab::new();
@@ -639,19 +651,31 @@ mod parity {
                         &mbpp.layer_set(), &mut scratch.synth,
                     );
                     let round0 = Round0 { trace: &trace, vocab: &vocab };
-                    let driven = run_rts_linking_from(
+                    let driven_from = run_rts_linking_from(
                         &fx.model, mbpp, inst, meta, ctx, round0, &policy, &config, &mut scratch,
                     );
-                    let monolithic = run_rts_linking_monolithic(
-                        &fx.model, mbpp, inst, meta, target, Some(ctx), Some(round0),
-                        &policy, &config, &mut scratch,
-                    );
-                    prop_assert_eq!(
-                        format!("{:?}", driven),
-                        format!("{:?}", monolithic),
-                        "run_rts_linking_from vs monolith, instance {} target {:?}",
-                        inst.id, target
-                    );
+                    for knobs in Oracle::ALL {
+                        let monolithic = run_rts_linking_monolithic(
+                            &fx.model, mbpp, inst, meta, target, Some(ctx), None,
+                            &policy, &config, knobs, &mut scratch,
+                        );
+                        prop_assert_eq!(
+                            format!("{:?}", driven_in),
+                            format!("{:?}", monolithic),
+                            "run_rts_linking_in vs monolith, instance {} target {:?} oracle {:?}",
+                            inst.id, target, knobs
+                        );
+                        let monolithic = run_rts_linking_monolithic(
+                            &fx.model, mbpp, inst, meta, target, Some(ctx), Some(round0),
+                            &policy, &config, knobs, &mut scratch,
+                        );
+                        prop_assert_eq!(
+                            format!("{:?}", driven_from),
+                            format!("{:?}", monolithic),
+                            "run_rts_linking_from vs monolith, instance {} target {:?} oracle {:?}",
+                            inst.id, target, knobs
+                        );
+                    }
                 }
             }
         }
@@ -662,9 +686,9 @@ mod parity {
         /// from bytes (the evicted round re-synthesized from the
         /// override recipe), and only then resolved. Flags, the merge
         /// RNG stream, interventions and outcomes must be identical to
-        /// a run that never parked — under every `RTS_REFERENCE` knob
-        /// and thread count of the CI matrix, so `results/*.json`
-        /// cannot drift however often the serving engine checkpoints.
+        /// a run that never parked — checked against every oracle
+        /// setting, so `results/*.json` cannot drift however often the
+        /// serving engine checkpoints.
         #[test]
         fn checkpoint_roundtrip_matches_monolithic_loop(
             seed in any::<u64>(),
@@ -709,16 +733,18 @@ mod parity {
                             }
                         }
                     };
-                    let monolithic = run_rts_linking_monolithic(
-                        &fx.model, mbpp, inst, meta, target, Some(ctx), None,
-                        &policy, &config, &mut scratch,
-                    );
-                    prop_assert_eq!(
-                        format!("{:?}", outcome),
-                        format!("{:?}", monolithic),
-                        "checkpointed drive vs monolith, instance {} target {:?}",
-                        inst.id, target
-                    );
+                    for knobs in Oracle::ALL {
+                        let monolithic = run_rts_linking_monolithic(
+                            &fx.model, mbpp, inst, meta, target, Some(ctx), None,
+                            &policy, &config, knobs, &mut scratch,
+                        );
+                        prop_assert_eq!(
+                            format!("{:?}", outcome),
+                            format!("{:?}", monolithic),
+                            "checkpointed drive vs monolith, instance {} target {:?} oracle {:?}",
+                            inst.id, target, knobs
+                        );
+                    }
                 }
             }
         }
@@ -867,9 +893,9 @@ mod parity {
     /// The `rts-serve` engine (one shard) ≡ batch `run_full_pipeline`
     /// on the same instance set: concurrent clients, parked sessions
     /// and the lazy context cache must change *when* answers arrive,
-    /// never what they are. Runs under the CI parity matrix, so worker scheduling
-    /// (`RTS_THREADS`) and every `RTS_REFERENCE` knob are crossed with
-    /// the engine's concurrency.
+    /// never what they are. Runs under both `RTS_THREADS` legs of the CI
+    /// parity job, so worker scheduling is crossed with the engine's
+    /// concurrency.
     #[test]
     fn serve_engine_matches_batch_pipeline() {
         let fx = fixture();
@@ -954,10 +980,7 @@ mod parity {
             stats.parked_sessions_peak >= 1,
             "suspensions must park sessions"
         );
-        if !config.reference_linking {
-            // The reference knob runs context-free, bypassing the cache.
-            assert!(stats.cache.hits > 0, "contexts must be reused");
-        }
+        assert!(stats.cache.hits > 0, "contexts must be reused");
     }
 
     /// The wire stack ≡ the in-process engine, byte for byte: the same
@@ -965,9 +988,8 @@ mod parity {
     /// but driven through `rts-served` over loopback TCP by the
     /// `rts-client` crate — framing, request ids, feedback resolution,
     /// and stats all cross the socket, and every outcome must still be
-    /// identical to the batch pipeline. Runs under the CI parity
-    /// matrix (`RTS_THREADS × RTS_REFERENCE`) like the
-    /// in-process case it mirrors.
+    /// identical to the batch pipeline. Runs under both `RTS_THREADS`
+    /// legs of the CI parity job like the in-process case it mirrors.
     #[test]
     fn wire_serve_matches_batch_pipeline() {
         use rts::client::RtsClient;
@@ -1103,8 +1125,8 @@ mod parity {
         /// placement may move *when* answers arrive, never what they
         /// are. Parity is pinned transitively against the batch
         /// pipeline (the same baseline `serve_engine_matches_batch_…`
-        /// holds the one-shard engine to), and rides the CI
-        /// `RTS_THREADS × RTS_REFERENCE` matrix like every other
+        /// holds the one-shard engine to), and runs under both
+        /// `RTS_THREADS` legs of the CI parity job like every other
         /// parity case. Zero drops and per-shard gauge drain are
         /// asserted on every case.
         #[test]
@@ -1241,8 +1263,8 @@ mod parity {
         /// fault-degraded outcome is an abstention (never a wrong
         /// answer), and requests the faults did *not* degrade are
         /// byte-identical to the fault-free batch pipeline. Runs under
-        /// the CI parity matrix, so the recovery machinery is crossed
-        /// with `RTS_THREADS` and every `RTS_REFERENCE` knob.
+        /// both `RTS_THREADS` legs of the CI parity job, so the
+        /// recovery machinery is crossed with the worker schedule.
         #[test]
         fn chaos_fault_schedules_degrade_only(fault_seed in any::<u64>()) {
             rts::serve::fault::silence_injected_panics();
